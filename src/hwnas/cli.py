@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, costmodel, datasets, lint, profiler, search, spaces
-from .errors import HwnasError
+from .errors import HwnasError, ParseError
 from .graph import CompactNet, SuperNet, Task, load_net, save_net, validate
 from .latency import DEFAULT_CLOCK_GHZ, compact_latency, load_lut, save_lut
 from .nncore import load_checkpoint, save_checkpoint
@@ -45,11 +45,12 @@ def content_hash(path) -> str:
     return hashlib.sha256(_strip_timestamps(Path(path).read_bytes())).hexdigest()
 
 
-def write_manifest(out_dir, command: str, args_doc: dict, seed, artifacts: dict):
+def write_manifest(out_dir, command: str, args, seed, artifacts: dict):
+    """Write run_manifest.json; the config hash covers every parsed argument."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_hash = hashlib.sha256(
-        json.dumps(args_doc, sort_keys=True).encode()).hexdigest()
+        json.dumps(vars(args) | {"func": None}, sort_keys=True).encode()).hexdigest()
     manifest = {
         "command": command,
         "tool_version": __version__,
@@ -67,6 +68,16 @@ def write_manifest(out_dir, command: str, args_doc: dict, seed, artifacts: dict)
 # Shared argument plumbing
 # ---------------------------------------------------------------------------
 
+def _read_json_object(path) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e}", str(path))
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object", str(path))
+    return doc
+
+
 def _load_device(spec: str):
     """'sim' for defaults, or a JSON config file ({'type': 'sim'|'command'})."""
     if spec == "sim":
@@ -74,13 +85,15 @@ def _load_device(spec: str):
         if not path:
             return profiler.SimulatedVPU()
         spec = path
-    doc = json.loads(Path(spec).read_text(encoding="utf-8"))
+    doc = _read_json_object(spec)
     kind = doc.pop("type", "sim")
-    if kind == "sim":
-        return profiler.SimulatedVPU(**doc)
-    if kind == "command":
-        return profiler.ExternalCommandRunner(**doc)
-    raise HwnasError(f"unknown device type {kind!r}")
+    device = {"sim": profiler.SimulatedVPU, "command": profiler.ExternalCommandRunner}.get(kind)
+    if device is None:
+        raise HwnasError(f"unknown device type {kind!r}")
+    try:
+        return device(**doc)
+    except TypeError as e:  # unknown or missing config fields
+        raise ParseError(str(e), spec)
 
 
 def _add_dataset_args(p):
@@ -102,10 +115,15 @@ def _make_dataset(task: Task, args) -> datasets.Dataset:
     return datasets.generate_sr_dataset(spec)
 
 
-def _load_supernet(spec: str) -> SuperNet:
+def _load_net(spec: str):
+    """A built-in space name or a .net.json file."""
     if spec in spaces.BUILTIN_SPACES:
         return spaces.BUILTIN_SPACES[spec]()
-    net = load_net(spec)
+    return load_net(spec)
+
+
+def _load_supernet(spec: str) -> SuperNet:
+    net = _load_net(spec)
     if not isinstance(net, SuperNet):
         raise HwnasError(f"{spec} is not a supernet file")
     return net
@@ -123,8 +141,8 @@ def _emit(args, doc: dict):
 # SVG plotting (textual, diffable, dependency-free)
 # ---------------------------------------------------------------------------
 
-def svg_scatter(points, xlabel: str, ylabel: str, path, diagonal=False):
-    """Write a minimal scatter plot; points is a list of (x, y)."""
+def svg_scatter(points, xlabel: str, ylabel: str, path):
+    """Write a minimal scatter plot of (x, y) points with a dashed y = x line."""
     w, h, m = 480, 360, 50
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
@@ -145,11 +163,10 @@ def svg_scatter(points, xlabel: str, ylabel: str, path, diagonal=False):
              f'<text x="{w-m}" y="{h-m+16}" font-size="10" text-anchor="end">{x1:.4g}</text>',
              f'<text x="{m-4}" y="{h-m}" font-size="10" text-anchor="end">{y0:.4g}</text>',
              f'<text x="{m-4}" y="{m+4}" font-size="10" text-anchor="end">{y1:.4g}</text>']
-    if diagonal:
-        lo, hi = max(x0, y0), min(x1, y1)
-        if hi > lo:
-            parts.append(f'<line x1="{sx(lo):.1f}" y1="{sy(lo):.1f}" x2="{sx(hi):.1f}" '
-                         f'y2="{sy(hi):.1f}" stroke="gray" stroke-dasharray="4"/>')
+    lo, hi = max(x0, y0), min(x1, y1)
+    if hi > lo:
+        parts.append(f'<line x1="{sx(lo):.1f}" y1="{sy(lo):.1f}" x2="{sx(hi):.1f}" '
+                     f'y2="{sy(hi):.1f}" stroke="gray" stroke-dasharray="4"/>')
     for x, y in points:
         parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" '
                      f'fill="steelblue" fill-opacity="0.7"/>')
@@ -166,7 +183,7 @@ def cmd_lut_build(args):
     device = _load_device(args.device)
     lut = profiler.build_lut(device, net, n=args.stack_n, trials=args.trials)
     save_lut(lut, args.out)
-    write_manifest(Path(args.out).parent, "lut build", vars(args) | {"func": None},
+    write_manifest(Path(args.out).parent, "lut build", args,
                    getattr(device, "seed", None), {"lut": args.out})
     _emit(args, {"entries": len(lut.entries), "out": args.out})
     return 0
@@ -177,8 +194,7 @@ def cmd_lut_from_model(args):
     model = costmodel.load_model(args.model)
     lut = costmodel.lut_from_model(model, net, clock_ghz=args.clock_ghz)
     save_lut(lut, args.out)
-    write_manifest(Path(args.out).parent, "lut from-model", vars(args) | {"func": None},
-                   None, {"lut": args.out})
+    write_manifest(Path(args.out).parent, "lut from-model", args, None, {"lut": args.out})
     _emit(args, {"entries": len(lut.entries), "out": args.out})
     return 0
 
@@ -198,8 +214,7 @@ def cmd_costmodel_train(args):
     artifacts = {"model": args.out}
     if not args.records and args.save_records:
         artifacts["records"] = args.save_records
-    write_manifest(Path(args.out).parent, "costmodel train", vars(args) | {"func": None},
-                   args.seed, artifacts)
+    write_manifest(Path(args.out).parent, "costmodel train", args, args.seed, artifacts)
     _emit(args, {"train_mape_percent": report.final_train_mape,
                  "val_mape_percent": report.final_val_mape, "out": args.out})
     return 0
@@ -244,16 +259,21 @@ def cmd_search_run(args):
         encoding="utf-8")
     net_path = out_dir / "supernet.net.json"
     save_net(net, net_path)
-    write_manifest(out_dir, "search run", vars(args) | {"func": None}, cfg.seed,
+    write_manifest(out_dir, "search run", args, cfg.seed,
                    {"history": hist_path, "arch": arch_path, "supernet": net_path})
     _emit(args, {"rounds": len(history.records), "out_dir": str(out_dir)})
     return 0
 
 
 def _load_arch(path) -> search.ArchParams:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return search.ArchParams(tuple(np.asarray(a, dtype=np.float64)
-                                   for a in doc["alphas"]))
+    doc = _read_json_object(path)
+    if "alphas" not in doc:
+        raise ParseError("missing field 'alphas'", str(path))
+    try:
+        return search.ArchParams(tuple(np.asarray(a, dtype=np.float64)
+                                       for a in doc["alphas"]))
+    except (TypeError, ValueError):
+        raise ParseError("alphas must be lists of numbers", str(path))
 
 
 def cmd_derive(args):
@@ -261,8 +281,7 @@ def cmd_derive(args):
     arch = _load_arch(args.arch)
     compact = search.derive_compact(net, arch)
     save_net(compact, args.out)
-    write_manifest(Path(args.out).parent, "derive", vars(args) | {"func": None},
-                   None, {"compact": args.out})
+    write_manifest(Path(args.out).parent, "derive", args, None, {"compact": args.out})
     _emit(args, {"chosen": list(compact.chosen_indices),
                  "tie_stages": list(compact.tie_stages), "out": args.out})
     return 0
@@ -277,8 +296,8 @@ def cmd_train_compact(args):
                                  batch_size=args.batch_size, lr=args.lr,
                                  weight_decay=args.weight_decay, seed=args.seed)
     save_checkpoint(model.named_parameters(), args.out)
-    write_manifest(Path(args.out).parent, "train-compact", vars(args) | {"func": None},
-                   args.seed, {"checkpoint": args.out})
+    write_manifest(Path(args.out).parent, "train-compact", args, args.seed,
+                   {"checkpoint": args.out})
     _emit(args, {"steps": args.steps, "out": args.out})
     return 0
 
@@ -303,15 +322,14 @@ def cmd_eval(args):
         metrics["lut_latency_ms"] = compact_latency(net, load_lut(args.lut))
     if args.out:
         Path(args.out).write_text(json.dumps(metrics, indent=2) + "\n", encoding="utf-8")
-        write_manifest(Path(args.out).parent, "eval", vars(args) | {"func": None},
-                       args.seed, {"metrics": args.out})
+        write_manifest(Path(args.out).parent, "eval", args, args.seed,
+                       {"metrics": args.out})
     _emit(args, metrics)
     return 0
 
 
 def cmd_lint(args):
-    net = load_net(args.net) if args.net not in spaces.BUILTIN_SPACES \
-        else spaces.BUILTIN_SPACES[args.net]()
+    net = _load_net(args.net)
     findings = lint.lint_network(net, strict_leaky=args.strict_leaky,
                                  streaming_threshold_bytes=args.streaming_threshold)
     if args.json:
@@ -342,14 +360,14 @@ def cmd_calibrate(args):
                "samples": args.samples, "note": report.note}
     json_path = prefix.with_suffix(".json")
     json_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    write_manifest(prefix.parent, "calibrate", vars(args) | {"func": None},
-                   args.seed, {"calibration_csv": csv_path, "calibration_json": json_path})
+    write_manifest(prefix.parent, "calibrate", args, args.seed,
+                   {"calibration_csv": csv_path, "calibration_json": json_path})
     _emit(args, summary)
     return 0
 
 
 def cmd_report(args):
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = _read_json_object(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     produced = {}
@@ -363,20 +381,13 @@ def cmd_report(args):
             rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
             pts = [tuple(float(v) for v in r.split(",")) for r in rows]
             svg = out_dir / "calibration_scatter.svg"
-            svg_scatter(pts, "predicted latency (ms)", "measured latency (ms)",
-                        svg, diagonal=True)
+            svg_scatter(pts, "predicted latency (ms)", "measured latency (ms)", svg)
             produced["calibration_scatter"] = svg
-        if name == "frontier_csv":
-            rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
-            pts = [tuple(float(v) for v in r.split(",")[:2]) for r in rows]
-            svg = out_dir / "latency_accuracy_frontier.svg"
-            svg_scatter(pts, "latency (ms)", "accuracy / quality", svg)
-            produced["frontier"] = svg
     summary_path = out_dir / "report.json"
     summary["plots"] = {k: str(v) for k, v in produced.items()}
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     produced["summary"] = summary_path
-    write_manifest(out_dir, "report", vars(args) | {"func": None}, None, produced)
+    write_manifest(out_dir, "report", args, None, produced)
     _emit(args, {"out_dir": str(out_dir), "plots": len(produced) - 1})
     return 0
 

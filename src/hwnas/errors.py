@@ -12,11 +12,6 @@ class InvalidOp(HwnasError):
 class ShapeMismatch(HwnasError):
     """Tensor/layer shapes are inconsistent."""
 
-    def __init__(self, message, stage_index=None, candidate_index=None):
-        super().__init__(message)
-        self.stage_index = stage_index
-        self.candidate_index = candidate_index
-
 
 class ParseError(HwnasError):
     """Serialized network/LUT/model text is malformed."""

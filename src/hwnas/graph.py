@@ -1,4 +1,4 @@
-"""Network IR: operator specs, supernets, shape inference, canonical keys, JSON I/O.
+"""Network IR: operator specs, supernets, the layer walk, canonical keys, JSON I/O.
 
 All types are immutable after construction and safe to share across threads.
 A supernet is a linear chain of mixed stages; every candidate inside a stage
@@ -11,9 +11,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-from .errors import InvalidOp, ParseError, ShapeMismatch
+from .errors import InvalidOp, ParseError
 
 
 class OpKind(str, Enum):
@@ -39,12 +39,9 @@ class Task(str, Enum):
 
 # Kinds whose kernel field is meaningful (spatial window).
 SPATIAL_KINDS = {OpKind.Conv, OpKind.DWConv, OpKind.MBConv, OpKind.AvgPool, OpKind.MaxPool}
-# Kinds that carry learnable weights.
-WEIGHTED_KINDS = {OpKind.Conv, OpKind.DWConv, OpKind.PointwiseConv, OpKind.MBConv, OpKind.Linear}
 # Kinds that may use stride > 1.
 STRIDED_KINDS = SPATIAL_KINDS | {OpKind.PointwiseConv}
-UPSAMPLE_KINDS = {OpKind.UpsampleNearest, OpKind.UpsampleBilinear}
-SCALED_KINDS = UPSAMPLE_KINDS | {OpKind.DepthToSpace}
+SCALED_KINDS = {OpKind.UpsampleNearest, OpKind.UpsampleBilinear, OpKind.DepthToSpace}
 
 
 @dataclass(frozen=True)
@@ -123,8 +120,6 @@ class OperatorSpec:
                 raise InvalidOp("DepthToSpace: in_channels must be divisible by scale_factor^2")
             if self.out_channels != self.in_channels // r2:
                 raise InvalidOp("DepthToSpace: out_channels must equal in_channels/scale_factor^2")
-        if k in SCALED_KINDS and self.scale_factor < 1:
-            raise InvalidOp(f"{k.value}: scale_factor must be >= 1")
 
     @property
     def padding(self) -> int:
@@ -154,10 +149,7 @@ def output_shape(op: OperatorSpec, shape: TensorShape) -> TensorShape:
         return TensorShape(op.out_channels, 1, 1)
     if op.in_channels != shape.channels:
         raise InvalidOp(f"{k.value}: expects {op.in_channels} channels, input has {shape.channels}")
-    if k in UPSAMPLE_KINDS:
-        return TensorShape(op.out_channels, shape.height * op.scale_factor,
-                           shape.width * op.scale_factor)
-    if k is OpKind.DepthToSpace:
+    if k in SCALED_KINDS:
         return TensorShape(op.out_channels, shape.height * op.scale_factor,
                            shape.width * op.scale_factor)
     h = _spatial_out(shape.height, op.kernel, op.stride, op.padding)
@@ -212,6 +204,14 @@ class SuperNet:
         object.__setattr__(self, "stages", tuple(self.stages))
         object.__setattr__(self, "head", tuple(self.head))
 
+    def path(self, chosen, tie_stages=()) -> "CompactNet":
+        """The compact net that keeps candidate `chosen[i]` of stage `i`."""
+        layers = (self.stem + tuple(st.candidates[j] for st, j in zip(self.stages, chosen))
+                  + self.head)
+        return CompactNet(task=self.task, input_shape=self.input_shape, layers=layers,
+                          num_classes=self.num_classes, sr_scale=self.sr_scale,
+                          chosen_indices=tuple(chosen), tie_stages=tuple(tie_stages))
+
 
 @dataclass(frozen=True)
 class CompactNet:
@@ -233,39 +233,26 @@ class CompactNet:
 Net = Union[SuperNet, CompactNet]
 
 
-def infer_shapes(net: Net) -> list:
-    """Output shape after each layer (compact) or each stem op/stage/head op (supernet).
+def walk(net: Net):
+    """Yield `(where, op, input_shape)` for every layer of a net, in chain order.
 
-    Raises ShapeMismatch when a stage candidate disagrees with the stage's
-    declared output shape.
+    `where` is `("layers", i)` for a CompactNet; for a SuperNet it is
+    `("stem", i)`, `("stages", i, j)` for candidate j of stage i, or
+    `("head", i)`. Every candidate of a stage gets the stage's declared input
+    shape, and the head starts from the last stage's declared output shape.
     """
-    shapes = []
     cur = net.input_shape
-    if isinstance(net, CompactNet):
-        for op in net.layers:
-            cur = output_shape(op, cur)
-            shapes.append(cur)
-        return shapes
-    for op in net.stem:
-        cur = output_shape(op, cur)
-        shapes.append(cur)
-    for i, stage in enumerate(net.stages):
-        if cur != stage.input_shape:
-            raise ShapeMismatch(
-                f"stage {i}: declared input {stage.input_shape} but chain produces {cur}",
-                stage_index=i)
-        for j, cand in enumerate(stage.candidates):
-            got = output_shape(cand, cur)
-            if got != stage.output_shape:
-                raise ShapeMismatch(
-                    f"stage {i} candidate {j}: produces {got}, stage declares {stage.output_shape}",
-                    stage_index=i, candidate_index=j)
-        cur = stage.output_shape
-        shapes.append(cur)
-    for op in net.head:
-        cur = output_shape(op, cur)
-        shapes.append(cur)
-    return shapes
+    parts = ((("layers", net.layers),) if isinstance(net, CompactNet)
+             else (("stem", net.stem), ("stages", net.stages), ("head", net.head)))
+    for part, items in parts:
+        for i, item in enumerate(items):
+            if part == "stages":
+                for j, cand in enumerate(item.candidates):
+                    yield (part, i, j), cand, item.input_shape
+                cur = item.output_shape
+            else:
+                yield (part, i), item, cur
+                cur = output_shape(item, cur)
 
 
 @dataclass(frozen=True)
@@ -389,6 +376,11 @@ def _op_from_json(obj, path: str) -> OperatorSpec:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ParseError(f"field {name!r} must be an integer, got {v!r}", path)
         return v
+    slope = obj.get("activation_slope", 0.0)
+    try:
+        slope = float(slope)
+    except (TypeError, ValueError):
+        raise ParseError(f"field 'activation_slope' must be a number, got {slope!r}", path)
     op = OperatorSpec(
         kind=kind,
         in_channels=_int("in_channels", None),
@@ -396,7 +388,7 @@ def _op_from_json(obj, path: str) -> OperatorSpec:
         kernel=_int("kernel", 1),
         stride=_int("stride", 1),
         expand_ratio=_parse_fraction(obj.get("expand_ratio", 1), path),
-        activation_slope=float(obj.get("activation_slope", 0.0)),
+        activation_slope=slope,
         scale_factor=_int("scale_factor", 1),
     )
     try:

@@ -15,8 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LengthMismatch, MissingEntry, NotNormalized, ParseError
-from .graph import (CompactNet, OperatorSpec, SuperNet, TensorShape,
-                    canonical_key, output_shape)
+from .graph import CompactNet, OperatorSpec, SuperNet, TensorShape, canonical_key, walk
 
 DEFAULT_CLOCK_GHZ = 0.7  # cycles <-> ms conversion when a table comes from a cost model
 
@@ -114,26 +113,13 @@ def stage_latency_vectors(supernet: SuperNet, lut: LatencyTable) -> list:
 
 def fixed_latency(supernet: SuperNet, lut: LatencyTable) -> float:
     """Total LUT latency of the stem and head layers (selected with prob. 1)."""
-    total = 0.0
-    cur = supernet.input_shape
-    for op in supernet.stem:
-        total += lookup(lut, op, cur)
-        cur = output_shape(op, cur)
-    cur = supernet.stages[-1].output_shape if supernet.stages else cur
-    for op in supernet.head:
-        total += lookup(lut, op, cur)
-        cur = output_shape(op, cur)
-    return total
+    return sum((lookup(lut, op, shape) for where, op, shape in walk(supernet)
+                if where[0] != "stages"), 0.0)
 
 
 def compact_latency(net: CompactNet, lut: LatencyTable) -> float:
     """Summed LUT latency of a compact network's layers."""
-    total = 0.0
-    cur = net.input_shape
-    for op in net.layers:
-        total += lookup(lut, op, cur)
-        cur = output_shape(op, cur)
-    return total
+    return sum((lookup(lut, op, shape) for _, op, shape in walk(net)), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import (CompactNet, OperatorSpec, OpKind, SuperNet, TensorShape,
-                    output_shape)
+from .graph import CompactNet, OperatorSpec, OpKind, SuperNet, TensorShape, walk
+from .profiler import is_dsp_bound
 
 RULE_IDS = ("VPU001", "VPU002", "VPU003")
 
@@ -47,16 +47,12 @@ class LintFinding:
 
 
 def _op_findings(op: OperatorSpec, index: int, in_shape: TensorShape,
-                 prev_op, strict_leaky: bool, threshold: int,
-                 where: str = "") -> list:
+                 prev_op, strict_leaky: bool, threshold: int, where: tuple) -> list:
     found = []
-    loc = f"{where}layer {index}" if where else f"layer {index}"
+    part = {"layers": "", "stages": "stage {1} candidate {2} "}.get(where[0], "{0} ")
+    loc = part.format(*where) + f"layer {index}"
 
-    dsp = (op.kind is OpKind.DepthToSpace
-           or op.kind is OpKind.UpsampleBilinear
-           or (op.kind is OpKind.LeakyReLU
-               and (strict_leaky or op.activation_slope != 0)))
-    if dsp:
+    if is_dsp_bound(op) or (strict_leaky and op.kind is OpKind.LeakyReLU):
         found.append(LintFinding(
             "VPU001", Severity.Warning, index,
             f"{loc}: {op.kind.value} runs on the DSP and stalls the compute engine"))
@@ -85,44 +81,19 @@ def lint_network(net, strict_leaky: bool = False,
     For a supernet, every candidate of every stage is checked individually.
     `strict_leaky` widens VPU001 to all LeakyReLU regardless of slope config.
     """
+    if not isinstance(net, (CompactNet, SuperNet)):
+        raise TypeError(f"cannot lint {type(net).__name__}")
     findings = []
-    if isinstance(net, CompactNet):
-        cur = net.input_shape
-        prev = None
-        for i, op in enumerate(net.layers):
-            findings += _op_findings(op, i, cur, prev, strict_leaky,
-                                     streaming_threshold_bytes)
-            cur = output_shape(op, cur)
-            prev = op
-        return sorted(findings, key=lambda f: (f.layer_index, f.rule_id))
-
-    if isinstance(net, SuperNet):
-        index = 0
-        cur = net.input_shape
-        prev = None
-        for op in net.stem:
-            findings += _op_findings(op, index, cur, prev, strict_leaky,
-                                     streaming_threshold_bytes, where="stem ")
-            cur = output_shape(op, cur)
-            prev = op
-            index += 1
-        for si, stage in enumerate(net.stages):
-            for ci, cand in enumerate(stage.candidates):
-                findings += _op_findings(
-                    cand, index, stage.input_shape, prev, strict_leaky,
-                    streaming_threshold_bytes, where=f"stage {si} candidate {ci} ")
-            cur = stage.output_shape
-            prev = None  # pairing across a mixed stage is candidate-dependent
-            index += 1
-        for op in net.head:
-            findings += _op_findings(op, index, cur, prev, strict_leaky,
-                                     streaming_threshold_bytes, where="head ")
-            cur = output_shape(op, cur)
-            prev = op
-            index += 1
-        return sorted(findings, key=lambda f: (f.layer_index, f.rule_id))
-
-    raise TypeError(f"cannot lint {type(net).__name__}")
+    index, position, prev, last = -1, None, None, None
+    for where, op, shape in walk(net):
+        # A stage's candidates share one layer index and the op feeding the stage.
+        if where[:2] != position:
+            index, position, prev = index + 1, where[:2], last
+        findings += _op_findings(op, index, shape, prev, strict_leaky,
+                                 streaming_threshold_bytes, where)
+        # pairing across a mixed stage is candidate-dependent
+        last = None if where[0] == "stages" else op
+    return sorted(findings, key=lambda f: (f.layer_index, f.rule_id))
 
 
 def findings_to_json(findings) -> str:

@@ -41,9 +41,9 @@ def _kaiming_uniform(shape, fan_in, rng):
 # im2col helpers shared by conv / depthwise / pooling
 # ---------------------------------------------------------------------------
 
-def _windows(x, k, stride, pad):
-    """[B,C,H,W] -> sliding windows [B,C,Ho,Wo,k,k] over zero-padded input."""
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+def _windows(x, k, stride, pad, pad_value=0.0):
+    """[B,C,H,W] -> sliding windows [B,C,Ho,Wo,k,k] over padded input."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=pad_value)
     win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     return win, xp.shape
 
@@ -207,7 +207,8 @@ class ModuleInstance:
             out = win.mean(axis=(-1, -2))
             self._cache = (padded,)
         elif k is OpKind.MaxPool:
-            win, padded = _windows(x, s.kernel, s.stride, s.padding)
+            # -inf padding: a border window's max comes from the input alone
+            win, padded = _windows(x, s.kernel, s.stride, s.padding, -np.inf)
             flat = win.reshape(win.shape[:4] + (s.kernel * s.kernel,))
             idx = flat.argmax(axis=-1)
             out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DeviceError, NotStackable
 from .graph import (CompactNet, OperatorSpec, OpKind, SuperNet, Task, TensorShape,
-                    canonical_key, output_shape, save_net, validate)
+                    canonical_key, output_shape, save_net, validate, walk)
 from .latency import LatencyTable, compact_latency
 
 log = logging.getLogger(__name__)
@@ -120,12 +120,8 @@ class SimulatedVPU:
 
     def graph_cost_ms(self, net: CompactNet) -> float:
         """Noiseless whole-subgraph latency including graph overhead."""
-        total = self.graph_overhead_ms
-        cur = net.input_shape
-        for op in net.layers:
-            total += self.op_cost_ms(op, cur)
-            cur = output_shape(op, cur)
-        return total
+        return sum((self.op_cost_ms(op, shape) for _, op, shape in walk(net)),
+                   self.graph_overhead_ms)
 
     def run(self, net: CompactNet, trials: int) -> list:
         base = self.graph_cost_ms(net)
@@ -213,22 +209,8 @@ def measure_stacked_mixed(device, op: OperatorSpec, anchor: OperatorSpec,
 def enumerate_search_space(supernet: SuperNet):
     """Unique (canonical key, op, input shape) triples over stem/stages/head."""
     seen = {}
-    cur = supernet.input_shape
-    def visit(op, shape):
-        key = canonical_key(op, shape)
-        if key not in seen:
-            seen[key] = (op, shape)
-        return key
-    for op in supernet.stem:
-        visit(op, cur)
-        cur = output_shape(op, cur)
-    for stage in supernet.stages:
-        for cand in stage.candidates:
-            visit(cand, stage.input_shape)
-        cur = stage.output_shape
-    for op in supernet.head:
-        visit(op, cur)
-        cur = output_shape(op, cur)
+    for _, op, shape in walk(supernet):
+        seen.setdefault(canonical_key(op, shape), (op, shape))
     return [(key, op, shape) for key, (op, shape) in seen.items()]
 
 
@@ -291,13 +273,7 @@ class CalibrationReport:
 
 def sample_compact(supernet: SuperNet, rng: np.random.Generator) -> CompactNet:
     """Uniform-random compact network from the search space."""
-    chosen = [int(rng.integers(len(st.candidates))) for st in supernet.stages]
-    layers = (tuple(supernet.stem)
-              + tuple(st.candidates[j] for st, j in zip(supernet.stages, chosen))
-              + tuple(supernet.head))
-    return CompactNet(task=supernet.task, input_shape=supernet.input_shape,
-                      layers=layers, num_classes=supernet.num_classes,
-                      sr_scale=supernet.sr_scale, chosen_indices=tuple(chosen))
+    return supernet.path([int(rng.integers(len(st.candidates))) for st in supernet.stages])
 
 
 def calibrate(device, supernet: SuperNet, lut: LatencyTable, num_samples: int,

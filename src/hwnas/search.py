@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteLoss, NotNormalized, ParseError
-from .graph import CompactNet, OperatorSpec, SuperNet, Task
+from .graph import CompactNet, SuperNet, Task, walk
 from .latency import (LatencyTable, expected_network_latency, fixed_latency,
                       latency_alpha_grad, stage_latency_vectors)
 from .nncore import ModuleInstance, loss_ce, loss_mse, sgd_step
@@ -164,80 +164,66 @@ class SearchHistory:
 # ---------------------------------------------------------------------------
 
 class CompactNetModel:
-    """A compact network instantiated with parameters, trainable end to end."""
+    """Instantiated layers of a CompactNet or a SuperNet, keyed by `walk` position.
 
-    def __init__(self, net: CompactNet, seed: int = 0):
+    A supernet keeps its own weights for every stage candidate (no sharing);
+    `forward` runs the path that keeps candidate `chosen[i]` of stage `i`, and
+    `backward` and `gate_grads` run back through the path of the last forward.
+    """
+
+    def __init__(self, net, seed: int = 0):
         self.net = net
         rng = np.random.default_rng(seed)
-        self.instances = [ModuleInstance(op, rng) for op in net.layers]
+        self.instances = {where: ModuleInstance(op, rng) for where, op, _ in walk(net)}
+        self._path, self._stage_outputs = list(self.instances.items()), []
 
     def named_parameters(self) -> dict:
-        out = {}
-        for i, inst in enumerate(self.instances):
-            for name, p in inst.params.items():
-                out[f"layers.{i}.{name}"] = p
-        return out
+        return {".".join(map(str, where)) + f".{name}": p
+                for where, inst in self.instances.items()
+                for name, p in inst.params.items()}
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for inst in self.instances:
+    def path_parameters(self) -> list:
+        """Parameters of the layers the last forward ran through."""
+        return [p for _, inst in self._path for p in inst.params.values()]
+
+    def forward(self, x: np.ndarray, chosen=(), keep_stage_outputs: bool = False) -> np.ndarray:
+        """Run the path through candidates `chosen` (ignored for a CompactNet).
+
+        `keep_stage_outputs` retains each stage's output for `gate_grads`.
+        """
+        self._path = [(where, inst) for where, inst in self.instances.items()
+                      if where[0] != "stages" or chosen[where[1]] == where[2]]
+        self._stage_outputs = []
+        for where, inst in self._path:
             x = inst.forward(x)
-        if self.net.task is Task.Classification:
-            return x[:, :, 0, 0]
-        return x
+            if keep_stage_outputs and where[0] == "stages":
+                self._stage_outputs.append(x)
+        return x[:, :, 0, 0] if self.net.task is Task.Classification else x
+
+    def _grad_out(self, g):
+        return g[:, :, None, None] if self.net.task is Task.Classification else g
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        if self.net.task is Task.Classification:
-            g = g[:, :, None, None]
-        for inst in reversed(self.instances):
+        g = self._grad_out(g)
+        for _, inst in reversed(self._path):
             g = inst.backward(g)
         return g
 
+    def gate_grads(self, g: np.ndarray) -> list:
+        """dL/dg_i = <dL/dy_i, y_i> of each stage's sampled gate, y_i its output.
 
-class SuperNetModel:
-    """Supernet with per-candidate weights (no sharing across candidates)."""
-
-    def __init__(self, supernet: SuperNet, seed: int = 0):
-        self.supernet = supernet
-        rng = np.random.default_rng(seed)
-        self.stem = [ModuleInstance(op, rng) for op in supernet.stem]
-        self.stages = [[ModuleInstance(c, rng) for c in st.candidates]
-                       for st in supernet.stages]
-        self.head = [ModuleInstance(op, rng) for op in supernet.head]
-
-    def named_parameters(self) -> dict:
-        out = {}
-        for i, inst in enumerate(self.stem):
-            for n, p in inst.params.items():
-                out[f"stem.{i}.{n}"] = p
-        for i, cands in enumerate(self.stages):
-            for j, inst in enumerate(cands):
-                for n, p in inst.params.items():
-                    out[f"stages.{i}.{j}.{n}"] = p
-        for i, inst in enumerate(self.head):
-            for n, p in inst.params.items():
-                out[f"head.{i}.{n}"] = p
-        return out
-
-    def active_path(self, gate_indices) -> list:
-        path = list(self.stem)
-        path += [self.stages[i][j] for i, j in enumerate(gate_indices)]
-        path += list(self.head)
-        return path
-
-    def forward_path(self, x, gate_indices, record_stage_outputs=False):
-        """Forward through one sampled path; optionally keep stage outputs."""
-        stage_outputs = []
-        for inst in self.stem:
-            x = inst.forward(x)
-        for i, j in enumerate(gate_indices):
-            x = self.stages[i][j].forward(x)
-            if record_stage_outputs:
-                stage_outputs.append(x)
-        for inst in self.head:
-            x = inst.forward(x)
-        if self.supernet.task is Task.Classification:
-            x = x[:, :, 0, 0]
-        return (x, stage_outputs) if record_stage_outputs else x
+        Needs a forward with `keep_stage_outputs`. The backward stops before
+        the stem, which no gate depends on.
+        """
+        g = self._grad_out(g)
+        grads = [0.0] * len(self._stage_outputs)
+        for where, inst in reversed(self._path):
+            if where[0] == "stem":
+                break
+            if where[0] == "stages":
+                grads[where[1]] = float(np.sum(g * self._stage_outputs[where[1]]))
+            g = inst.backward(g)
+        return grads
 
 
 def _task_loss(task: Task, output, target):
@@ -253,7 +239,7 @@ def _sample_batch(x, y, batch_size, rng):
 
 @dataclass
 class SearchState:
-    model: SuperNetModel
+    model: CompactNetModel
     arch: ArchParams
 
 
@@ -266,7 +252,7 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
     """
     f_vectors = stage_latency_vectors(supernet, lut)       # raises MissingEntry early
     fixed_ms = fixed_latency(supernet, lut)
-    model = SuperNetModel(supernet, seed=cfg.seed)
+    model = CompactNetModel(supernet, seed=cfg.seed)
     alphas = [np.zeros(len(st.candidates)) for st in supernet.stages]
     history = SearchHistory()
     rng = np.random.default_rng(cfg.seed)
@@ -281,25 +267,18 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
                                           "context": ctx, "loss": loss})
 
     for rnd in range(cfg.rounds):
-        probs = [path_probs(a) for a in alphas]
-
         # -- weight updates on the training split: sampled single path only --
         train_losses = []
         for _ in range(cfg.weight_steps_per_round):
             probs = [path_probs(a) for a in alphas]
             gates = [int(np.argmax(sample_gate(p, rng))) for p in probs]
             xb, yb = _sample_batch(x_tr, y_tr, cfg.batch_size, rng)
-            out = model.forward_path(xb, gates)
+            out = model.forward(xb, gates)
             ce, g = _task_loss(task, out, yb)
             check_finite(ce, "weight step")
             train_losses.append(ce)
-            if task is Task.Classification:
-                g = g[:, :, None, None]
-            for inst in reversed(model.active_path(gates)):
-                g = inst.backward(g)
-            active_params = [p for inst in model.active_path(gates)
-                             for p in inst.params.values()]
-            sgd_step(active_params, cfg.lr_weights, weight_decay=cfg.lambda1)
+            model.backward(g)
+            sgd_step(model.path_parameters(), cfg.lr_weights, weight_decay=cfg.lambda1)
 
         # -- architecture updates on the validation split: weights frozen --
         val_losses = []
@@ -307,21 +286,13 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
             probs = [path_probs(a) for a in alphas]
             gates = [int(np.argmax(sample_gate(p, rng))) for p in probs]
             xb, yb = _sample_batch(x_va, y_va, cfg.batch_size, rng)
-            out, stage_outputs = model.forward_path(xb, gates, record_stage_outputs=True)
+            out = model.forward(xb, gates, keep_stage_outputs=True)
             ce, g = _task_loss(task, out, yb)
             check_finite(ce, "arch step")
             e_lat = expected_network_latency(list(zip(probs, f_vectors)), fixed_ms)
             val_losses.append(total_loss(ce, model.named_parameters().values(),
                                          e_lat, cfg))
-            if task is Task.Classification:
-                g = g[:, :, None, None]
-            # Backprop to each stage output to obtain the sampled gate gradient.
-            gate_scalars = [0.0] * len(gates)
-            for inst in reversed(model.head):
-                g = inst.backward(g)
-            for i in range(len(gates) - 1, -1, -1):
-                gate_scalars[i] = float(np.sum(g * stage_outputs[i]))
-                g = model.stages[i][gates[i]].backward(g)
+            gate_scalars = model.gate_grads(g)
             # Weights stay frozen: discard accumulated gradients.
             for p in model.named_parameters().values():
                 p.zero_grad()
@@ -358,13 +329,7 @@ def derive_compact(supernet: SuperNet, arch: ArchParams) -> CompactNet:
         if np.sum(a == a[j]) > 1:
             ties.append(i)
         chosen.append(j)
-    layers = (tuple(supernet.stem)
-              + tuple(st.candidates[j] for st, j in zip(supernet.stages, chosen))
-              + tuple(supernet.head))
-    return CompactNet(task=supernet.task, input_shape=supernet.input_shape,
-                      layers=layers, num_classes=supernet.num_classes,
-                      sr_scale=supernet.sr_scale, chosen_indices=tuple(chosen),
-                      tie_stages=tuple(ties))
+    return supernet.path(chosen, tie_stages=ties)
 
 
 # ---------------------------------------------------------------------------

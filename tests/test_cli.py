@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hwnas
 from hwnas.cli import main
 from hwnas.errors import DeviceError
 from hwnas.graph import (CompactNet, OperatorSpec, OpKind, Task, TensorShape,
@@ -54,6 +58,35 @@ def test_search_missing_lut_entry_exit_1_names_key(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "Conv:k3:s1" in err  # message names a canonical key
+
+
+LEAKY_NET = {"task": "Classification", "input_shape": [3, 4, 4], "num_classes": 2,
+             "layers": [{"kind": "LeakyReLU", "in_channels": 3, "out_channels": 3,
+                         "activation_slope": "steep"}]}
+
+MALFORMED = {
+    "device-unknown-key": ("dev.json", {"type": "sim", "bogus": 1},
+                           ["lut", "build", "--net", "toy-classification",
+                            "--device", "{file}", "--out", "{tmp}/l.lut.json"]),
+    "net-slope-not-a-number": ("bad.net.json", LEAKY_NET, ["lint", "--net", "{file}"]),
+    "arch-without-alphas": ("arch.json", {"logits": [[0.0]]},
+                            ["derive", "--net", "toy-classification", "--arch", "{file}",
+                             "--out", "{tmp}/c.net.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_1_without_traceback(case, tmp_path):
+    name, doc, argv = MALFORMED[case]
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    argv = [a.format(file=path, tmp=tmp_path) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(hwnas.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hwnas.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_argument_errors_exit_2():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hwnas.errors import ParseError
 from hwnas.graph import (CompactNet, MixedStage, OperatorSpec, OpKind, SuperNet,
                          Task, TensorShape, canonical_key, deserialize,
-                         output_shape, serialize, validate)
+                         output_shape, serialize, validate, walk)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +76,21 @@ def test_identity_channel_mismatch_is_invariant_finding(toy_supernet):
 # ---------------------------------------------------------------------------
 # canonical_key
 # ---------------------------------------------------------------------------
+
+def test_walk_order_shapes_and_path(toy_supernet):
+    net = toy_supernet
+    layers = list(walk(net))
+    assert [w for w, _, _ in layers] == ([("stem", 0)]
+                                         + [("stages", i, j) for i in range(3) for j in range(3)]
+                                         + [("head", 0)])
+    assert all(s == net.stages[w[1]].input_shape for w, _, s in layers if w[0] == "stages")
+    assert layers[-1][2] == net.stages[-1].output_shape
+    compact = net.path([0, 2, 1], tie_stages=(1,))
+    assert compact.layers == (net.stem + (net.stages[0].candidates[0], net.stages[1].candidates[2],
+                                          net.stages[2].candidates[1]) + net.head)
+    assert (compact.chosen_indices, compact.tie_stages) == ((0, 2, 1), (1,))
+    assert [w for w, _, _ in walk(compact)] == [("layers", i) for i in range(5)]
+
 
 def test_canonical_key_conv_example():
     op = OperatorSpec(OpKind.Conv, 16, 32, kernel=3)

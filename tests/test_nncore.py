@@ -35,6 +35,14 @@ def test_relu_forward_values():
     assert inst.forward(x).ravel().tolist() == [0.0, 2.0]
 
 
+def test_maxpool_border_ignores_padding():
+    x = -1.0 - np.arange(16.0).reshape(1, 1, 4, 4)  # all negative
+    out = _inst(OperatorSpec(OpKind.MaxPool, 1, 1, kernel=3)).forward(x)
+    expect = [[x[0, 0, max(i - 1, 0):i + 2, max(j - 1, 0):j + 2].max() for j in range(4)]
+              for i in range(4)]
+    assert out[0, 0].tolist() == expect
+
+
 def test_conv1x1_identity_kernel(rng):
     op = OperatorSpec(OpKind.Conv, 4, 4, kernel=1)
     inst = _inst(op)
