@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,10 @@ def _read_json_object(path) -> dict:
     return doc
 
 
+# JSON value types accepted for a device config field of each annotated type
+_JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
+
+
 def _load_device(spec: str):
     """'sim' for defaults, or a JSON config file ({'type': 'sim'|'command'})."""
     if spec == "sim":
@@ -87,9 +92,16 @@ def _load_device(spec: str):
         spec = path
     doc = _read_json_object(spec)
     kind = doc.pop("type", "sim")
-    device = {"sim": profiler.SimulatedVPU, "command": profiler.ExternalCommandRunner}.get(kind)
+    devices = {"sim": profiler.SimulatedVPU, "command": profiler.ExternalCommandRunner}
+    device = devices.get(kind) if isinstance(kind, str) else None
     if device is None:
         raise HwnasError(f"unknown device type {kind!r}")
+    hints = typing.get_type_hints(device)
+    for name, value in doc.items():
+        accepted = _JSON_TYPES.get(hints.get(name))
+        if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
+            raise ParseError(f"field {name!r} must be {hints[name].__name__}, "
+                             f"got {value!r}", spec)
     try:
         return device(**doc)
     except TypeError as e:  # unknown or missing config fields
@@ -373,7 +385,13 @@ def cmd_report(args):
     produced = {}
     summary = {"source_manifest": args.manifest, "command": manifest.get("command")}
     arts = manifest.get("artifacts", {})
+    if not isinstance(arts, dict):
+        raise ParseError("'artifacts' must be an object", args.manifest)
     for name, entry in arts.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
+                and isinstance(entry.get("sha256"), str)):
+            raise ParseError(f"artifact {name!r} needs string fields 'path' and 'sha256'",
+                             args.manifest)
         path = Path(entry["path"])
         if content_hash(path) != entry["sha256"]:
             raise HwnasError(f"artifact {name} changed since manifest was written")

@@ -2,7 +2,14 @@
 
 Covers forward/backward for every OperatorSpec kind, cross-entropy and MSE
 losses, a plain SGD step with L2 weight decay, and a central finite-difference
-gradient checker. Desk-scale only: clarity and exact gradients over speed.
+gradient checker. Desk-scale only.
+
+A backward pass computes only what its caller reads: it can skip the input
+gradient (the first layer of a net) or the parameter gradients (architecture
+steps, where weights are frozen). Every value it does compute is bitwise
+equal to the plain einsum formulation (sliding windows, one einsum per
+product, window gradients scattered in i-then-j order), so seeded runs stay
+reproducible; tests/test_kernels.py holds that reference.
 """
 
 from __future__ import annotations
@@ -48,17 +55,25 @@ def _windows(x, k, stride, pad, pad_value=0.0):
     return win, xp.shape
 
 
-def _scatter_windows(t, padded_shape, k, stride, pad):
-    """Adjoint of _windows: scatter [B,C,Ho,Wo,k,k] back to [B,C,H,W]."""
-    dxp = np.zeros(padded_shape)
-    ho, wo = t.shape[2], t.shape[3]
+def _scatter_windows(window_grad, padded_shape, k, stride, pad, channel_major=False):
+    """Adjoint of _windows: [B,C,H,W] sum of window_grad(i, j), the [B,C,Ho,Wo]
+    gradient at window offset (i, j), added in i-then-j order.
+
+    With `channel_major`, window_grad yields [C,B,Ho,Wo] and the sum runs in a
+    [C,B,Hp,Wp] buffer that one contiguous transpose returns to [B,C,Hp,Wp].
+    Either way the result is a crop of a [B,C,Hp,Wp]-contiguous buffer, so
+    reductions over it sum in the same order.
+    """
+    b, c, hp, wp = padded_shape
+    dxp = np.zeros((c, b, hp, wp) if channel_major else padded_shape)
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     for i in range(k):
         for j in range(k):
             dxp[:, :, i:i + (ho - 1) * stride + 1:stride,
-                j:j + (wo - 1) * stride + 1:stride] += t[..., i, j]
-    if pad:
-        return dxp[:, :, pad:padded_shape[2] - pad, pad:padded_shape[3] - pad]
-    return dxp
+                j:j + (wo - 1) * stride + 1:stride] += window_grad(i, j)
+    if channel_major:
+        dxp = np.ascontiguousarray(dxp.transpose(1, 0, 2, 3))
+    return dxp[:, :, pad:hp - pad, pad:wp - pad]
 
 
 def _bilinear_matrix(out_size, in_size, scale):
@@ -84,12 +99,18 @@ def _conv_forward(x, w, b, stride, pad):
     out = np.einsum("bchwij,ocij->bohw", win, w, optimize=True) + b[None, :, None, None]
     return out, (win, padded)
 
-def _conv_backward(g, w, cache, stride, pad):
+def _conv_backward(g, w, cache, stride, pad, input_grad, param_grads):
+    """(dx, dw, db); dx is None without input_grad, dw and db without param_grads."""
     win, padded = cache
-    dw = np.einsum("bchwij,bohw->ocij", win, g, optimize=True)
-    db = g.sum(axis=(0, 2, 3))
-    t = np.einsum("bohw,ocij->bchwij", g, w, optimize=True)
-    dx = _scatter_windows(t, padded, w.shape[-1], stride, pad)
+    dx = dw = db = None
+    if param_grads:
+        dw = np.einsum("bchwij,bohw->ocij", win, g, optimize=True)
+        db = g.sum(axis=(0, 2, 3))
+    if input_grad:
+        # channel-major, so each window offset's slab t[:, i, j] is contiguous
+        t = np.einsum("bohw,ocij->cijbhw", g, w, optimize=True)
+        dx = _scatter_windows(lambda i, j: t[:, i, j], padded, w.shape[-1],
+                              stride, pad, channel_major=True)
     return dx, dw, db
 
 
@@ -98,12 +119,19 @@ def _dwconv_forward(x, w, b, stride, pad):
     out = np.einsum("bchwij,cij->bchw", win, w, optimize=True) + b[None, :, None, None]
     return out, (win, padded)
 
-def _dwconv_backward(g, w, cache, stride, pad):
+def _dwconv_backward(g, w, cache, stride, pad, input_grad, param_grads):
+    """(dx, dw, db); dx is None without input_grad, dw and db without param_grads."""
     win, padded = cache
-    dw = np.einsum("bchwij,bchw->cij", win, g, optimize=True)
-    db = g.sum(axis=(0, 2, 3))
-    t = np.einsum("bchw,cij->bchwij", g, w, optimize=True)
-    dx = _scatter_windows(t, padded, w.shape[-1], stride, pad)
+    c, k = w.shape[0], w.shape[-1]
+    dx = dw = db = None
+    if param_grads:
+        # per channel: g [1, B*Ho*Wo] @ windows [B*Ho*Wo, k*k]
+        cols = win.transpose(1, 0, 2, 3, 4, 5).reshape(c, -1, k * k)
+        dw = (g.transpose(1, 0, 2, 3).reshape(c, 1, -1) @ cols).reshape(w.shape)
+        db = g.sum(axis=(0, 2, 3))
+    if input_grad:
+        dx = _scatter_windows(lambda i, j: g * w[None, :, i, j, None, None],
+                              padded, k, stride, pad)
     return dx, dw, db
 
 
@@ -270,59 +298,62 @@ class ModuleInstance:
 
     # -- backward ---------------------------------------------------------------
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads; return the gradient w.r.t. the input."""
+    def backward(self, g: np.ndarray, input_grad: bool = True,
+                 param_grads: bool = True):
+        """Accumulate parameter grads; return the gradient w.r.t. the input.
+
+        `input_grad=False` returns None and skips the input gradient;
+        `param_grads=False` leaves every Parameter.grad untouched. Both
+        release the retained forward.
+        """
         if self._cache is None:
             raise StaleState(f"{self.spec.kind.value}: backward without retained forward")
         s, k, cache = self.spec, self.spec.kind, self._cache
         self._cache = None
+        param_grads = param_grads and bool(self.params)
+        if not (input_grad or param_grads):
+            return None
         g = np.asarray(g, dtype=np.float64)
 
         if k is OpKind.Identity:
             return g
         if k in (OpKind.ReLU, OpKind.LeakyReLU):
             return _relu_backward(g, cache[0], s.activation_slope)
-        if k in (OpKind.Conv, OpKind.PointwiseConv):
-            dx, dw, db = _conv_backward(g, self.params["weight"].value, cache[0],
-                                        s.stride, s.padding)
-            self.params["weight"].grad += dw
-            self.params["bias"].grad += db
-            return dx
-        if k is OpKind.DWConv:
-            dx, dw, db = _dwconv_backward(g, self.params["weight"].value, cache[0],
-                                          s.stride, s.padding)
-            self.params["weight"].grad += dw
-            self.params["bias"].grad += db
+        if k in (OpKind.Conv, OpKind.PointwiseConv, OpKind.DWConv):
+            kernel_backward = _dwconv_backward if k is OpKind.DWConv else _conv_backward
+            dx, dw, db = kernel_backward(g, self.params["weight"].value, cache[0],
+                                         s.stride, s.padding, input_grad, param_grads)
+            if param_grads:
+                self.params["weight"].grad += dw
+                self.params["bias"].grad += db
             return dx
         if k is OpKind.MBConv:
             m1, m2, residual = cache
-            d = self._children["project"].backward(g)
+            d = self._children["project"].backward(g, param_grads=param_grads)
             d = _relu_backward(d, m2, 0.0)
-            d = self._children["dw"].backward(d)
+            d = self._children["dw"].backward(d, param_grads=param_grads)
             d = _relu_backward(d, m1, 0.0)
-            d = self._children["expand"].backward(d)
-            return d + g if residual else d
+            d = self._children["expand"].backward(d, input_grad, param_grads)
+            return d + g if residual and input_grad else d
         if k is OpKind.AvgPool:
-            padded = cache[0]
-            kk = s.kernel * s.kernel
-            t = np.broadcast_to((g / kk)[..., None, None],
-                                g.shape + (s.kernel, s.kernel))
-            return _scatter_windows(t, padded, s.kernel, s.stride, s.padding)
+            gk = g / (s.kernel * s.kernel)
+            return _scatter_windows(lambda i, j: gk, cache[0], s.kernel, s.stride, s.padding)
         if k is OpKind.MaxPool:
             padded, idx = cache
             t = np.zeros(g.shape + (s.kernel * s.kernel,))
             np.put_along_axis(t, idx[..., None], g[..., None], axis=-1)
-            t = t.reshape(g.shape + (s.kernel, s.kernel))
-            return _scatter_windows(t, padded, s.kernel, s.stride, s.padding)
-        if k is OpKind.UpsampleNearest:
+            return _scatter_windows(lambda i, j: t[..., i * s.kernel + j], padded,
+                                    s.kernel, s.stride, s.padding)
+        if k in (OpKind.UpsampleNearest, OpKind.UpsampleBilinear):
+            dup = self._unproject(g, cache, input_grad, param_grads)
+            if dup is None:
+                return None
+            if k is OpKind.UpsampleBilinear:
+                mh, mw = cache[-2], cache[-1]
+                return np.einsum("hH,bchw,wW->bcHW", mh, dup, mw, optimize=True)
             r = s.scale_factor
-            dup = self._unproject(g, cache)
             b, c, hh, ww = dup.shape
             return dup.reshape(b, c, hh // r, r, ww // r, r).sum(axis=(3, 5))
-        if k is OpKind.UpsampleBilinear:
-            dup = self._unproject(g, cache)
-            mh, mw = cache[-2], cache[-1]
-            return np.einsum("hH,bchw,wW->bcHW", mh, dup, mw, optimize=True)
         if k is OpKind.DepthToSpace:
             r = s.scale_factor
             b, c, hh, ww = cache[0]
@@ -333,18 +364,23 @@ class ModuleInstance:
         if k is OpKind.Linear:
             flat, xshape = cache
             g2 = g[:, :, 0, 0]
-            self.params["weight"].grad += g2.T @ flat
-            self.params["bias"].grad += g2.sum(axis=0)
-            return (g2 @ self.params["weight"].value).reshape(xshape)
+            if param_grads:
+                self.params["weight"].grad += g2.T @ flat
+                self.params["bias"].grad += g2.sum(axis=0)
+            return (g2 @ self.params["weight"].value).reshape(xshape) if input_grad else None
         raise ShapeMismatch(f"unhandled kind {k}")  # pragma: no cover
 
-    def _unproject(self, g, cache):
-        if "weight" in self.params:
+    def _unproject(self, g, cache, input_grad, param_grads):
+        """Backward of the optional projection: the resampled map's gradient."""
+        if "weight" not in self.params:
+            return g
+        if param_grads:
             up = cache[1]
             self.params["weight"].grad += np.einsum("bohw,bchw->oc", g, up, optimize=True)
             self.params["bias"].grad += g.sum(axis=(0, 2, 3))
-            return np.einsum("oc,bohw->bchw", self.params["weight"].value, g, optimize=True)
-        return g
+        if not input_grad:
+            return None
+        return np.einsum("oc,bohw->bchw", self.params["weight"].value, g, optimize=True)
 
 
 def parameter_count(spec: OperatorSpec) -> int:
@@ -380,10 +416,10 @@ def loss_ce(logits: np.ndarray, labels: np.ndarray):
         raise ShapeMismatch(f"logits {logits.shape} vs labels {labels.shape}")
     b = logits.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    loss = float(np.mean(logsumexp - z[np.arange(b), labels]))
-    probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-    grad = probs
+    e = np.exp(z)
+    total = e.sum(axis=1)
+    loss = float(np.mean(np.log(total) - z[np.arange(b), labels]))
+    grad = e / total[:, None]
     grad[np.arange(b), labels] -= 1.0
     return loss, grad / b
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field, asdict
-from typing import Optional
 
 import numpy as np
 
@@ -74,10 +73,6 @@ class ArchParams:
     def __post_init__(self):
         object.__setattr__(self, "vectors", tuple(np.asarray(v, dtype=np.float64)
                                                   for v in self.vectors))
-
-    @staticmethod
-    def uniform(supernet: SuperNet) -> "ArchParams":
-        return ArchParams(tuple(np.zeros(len(s.candidates)) for s in supernet.stages))
 
     def probs(self) -> list:
         return [path_probs(v) for v in self.vectors]
@@ -203,26 +198,30 @@ class CompactNetModel:
     def _grad_out(self, g):
         return g[:, :, None, None] if self.net.task is Task.Classification else g
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
+    def backward(self, g: np.ndarray) -> None:
+        """Accumulate the parameter grads of the last forward's path.
+
+        Nothing reads the gradient w.r.t. the net input, so the first layer
+        does not compute it.
+        """
         g = self._grad_out(g)
-        for _, inst in reversed(self._path):
-            g = inst.backward(g)
-        return g
+        for n, (_, inst) in enumerate(reversed(self._path), 1):
+            g = inst.backward(g, input_grad=n < len(self._path))
 
     def gate_grads(self, g: np.ndarray) -> list:
         """dL/dg_i = <dL/dy_i, y_i> of each stage's sampled gate, y_i its output.
 
-        Needs a forward with `keep_stage_outputs`. The backward stops before
-        the stem, which no gate depends on.
+        Needs a forward with `keep_stage_outputs`. Weights are frozen, so no
+        parameter gradient is accumulated. The backward stops before the
+        stem, which no gate depends on; stage 0 skips its input gradient.
         """
         g = self._grad_out(g)
         grads = [0.0] * len(self._stage_outputs)
-        for where, inst in reversed(self._path):
-            if where[0] == "stem":
-                break
+        layers = [(where, inst) for where, inst in self._path if where[0] != "stem"]
+        for n, (where, inst) in enumerate(reversed(layers), 1):
             if where[0] == "stages":
                 grads[where[1]] = float(np.sum(g * self._stage_outputs[where[1]]))
-            g = inst.backward(g)
+            g = inst.backward(g, input_grad=n < len(layers), param_grads=False)
         return grads
 
 
@@ -293,9 +292,6 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
             val_losses.append(total_loss(ce, model.named_parameters().values(),
                                          e_lat, cfg))
             gate_scalars = model.gate_grads(g)
-            # Weights stay frozen: discard accumulated gradients.
-            for p in model.named_parameters().values():
-                p.zero_grad()
             for i, (p, a) in enumerate(zip(probs, alphas)):
                 dl_dg = np.zeros(len(p))
                 dl_dg[gates[i]] = gate_scalars[i]

@@ -72,6 +72,19 @@ MALFORMED = {
     "arch-without-alphas": ("arch.json", {"logits": [[0.0]]},
                             ["derive", "--net", "toy-classification", "--arch", "{file}",
                              "--out", "{tmp}/c.net.json"]),
+    "device-value-wrong-type": ("dev.json", {"type": "sim", "clock_ghz": "fast"},
+                                ["lut", "build", "--net", "toy-classification",
+                                 "--device", "{file}", "--out", "{tmp}/l.lut.json"]),
+    "device-type-not-a-string": ("dev.json", {"type": ["sim"]},
+                                 ["lut", "build", "--net", "toy-classification",
+                                  "--device", "{file}", "--out", "{tmp}/l.lut.json"]),
+    "device-seed-not-an-int": ("dev.json", {"type": "sim", "seed": 1.5},
+                               ["lut", "build", "--net", "toy-classification",
+                                "--device", "{file}", "--out", "{tmp}/l.lut.json"]),
+    "report-entry-without-path": ("run_manifest.json",
+                                  {"command": "x", "artifacts": {"x": {"sha256": "0"}}},
+                                  ["report", "--manifest", "{file}",
+                                   "--out-dir", "{tmp}/rep"]),
 }
 
 

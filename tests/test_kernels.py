@@ -1,0 +1,283 @@
+"""Bit-equivalence of the nncore kernels against the plain einsum reference.
+
+The reference functions below are the straightforward einsum formulation of
+each kernel: sliding windows, one einsum per product, and a k*k scatter of
+the window gradient in i-then-j order. nncore may compute the same values in
+another way, but every output must be bitwise equal to the reference, or
+seeded runs stop being reproducible across versions.
+"""
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from hwnas.graph import OperatorSpec, OpKind, TensorShape, output_shape, walk
+from hwnas.nncore import ModuleInstance, loss_ce
+from hwnas.search import CompactNetModel
+from hwnas.spaces import BUILTIN_SPACES
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels
+# ---------------------------------------------------------------------------
+
+def ref_windows(x, k, stride, pad, pad_value=0.0):
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=pad_value)
+    return sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride], xp.shape
+
+
+def ref_scatter_windows(t, padded_shape, k, stride, pad):
+    dxp = np.zeros(padded_shape)
+    ho, wo = t.shape[2], t.shape[3]
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i:i + (ho - 1) * stride + 1:stride,
+                j:j + (wo - 1) * stride + 1:stride] += t[..., i, j]
+    if pad:
+        return dxp[:, :, pad:padded_shape[2] - pad, pad:padded_shape[3] - pad]
+    return dxp
+
+
+def ref_conv(x, w, b, g, stride, pad):
+    """(out, dx, dw, db) of a dense convolution."""
+    k = w.shape[-1]
+    win, padded = ref_windows(x, k, stride, pad)
+    out = np.einsum("bchwij,ocij->bohw", win, w, optimize=True) + b[None, :, None, None]
+    dw = np.einsum("bchwij,bohw->ocij", win, g, optimize=True)
+    db = g.sum(axis=(0, 2, 3))
+    t = np.einsum("bohw,ocij->bchwij", g, w, optimize=True)
+    return out, ref_scatter_windows(t, padded, k, stride, pad), dw, db
+
+
+def ref_dwconv(x, w, b, g, stride, pad):
+    """(out, dx, dw, db) of a depthwise convolution."""
+    k = w.shape[-1]
+    win, padded = ref_windows(x, k, stride, pad)
+    out = np.einsum("bchwij,cij->bchw", win, w, optimize=True) + b[None, :, None, None]
+    dw = np.einsum("bchwij,bchw->cij", win, g, optimize=True)
+    db = g.sum(axis=(0, 2, 3))
+    t = np.einsum("bchw,cij->bchwij", g, w, optimize=True)
+    return out, ref_scatter_windows(t, padded, k, stride, pad), dw, db
+
+
+def ref_avgpool_dx(g, x_shape, k, stride, pad):
+    padded = (x_shape[0], x_shape[1], x_shape[2] + 2 * pad, x_shape[3] + 2 * pad)
+    t = np.broadcast_to((g / (k * k))[..., None, None], g.shape + (k, k))
+    return ref_scatter_windows(t, padded, k, stride, pad)
+
+
+def ref_maxpool_dx(x, g, k, stride, pad):
+    win, padded = ref_windows(x, k, stride, pad, -np.inf)
+    idx = win.reshape(win.shape[:4] + (k * k,)).argmax(axis=-1)
+    t = np.zeros(g.shape + (k * k,))
+    np.put_along_axis(t, idx[..., None], g[..., None], axis=-1)
+    return ref_scatter_windows(t.reshape(g.shape + (k, k)), padded, k, stride, pad)
+
+
+def ref_loss_ce(logits, labels):
+    b = logits.shape[0]
+    z = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(z).sum(axis=1))
+    loss = float(np.mean(logsumexp - z[np.arange(b), labels]))
+    grad = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    grad[np.arange(b), labels] -= 1.0
+    return loss, grad / b
+
+
+# ---------------------------------------------------------------------------
+# Cases: every conv-family layer the built-in spaces instantiate
+# ---------------------------------------------------------------------------
+
+CONV_KINDS = (OpKind.Conv, OpKind.PointwiseConv, OpKind.DWConv)
+
+
+def _leaf_layers(op, shape):
+    """(op, input_shape) of op, or of an MBConv's expand/depthwise/project."""
+    if op.kind is not OpKind.MBConv:
+        yield op, shape
+        return
+    h = op.hidden_channels
+    children = (OperatorSpec(OpKind.PointwiseConv, op.in_channels, h),
+                OperatorSpec(OpKind.DWConv, h, h, kernel=op.kernel, stride=op.stride),
+                OperatorSpec(OpKind.PointwiseConv, h, op.out_channels))
+    for child in children:
+        yield child, shape
+        shape = output_shape(child, shape)
+
+
+def _space_layers():
+    seen = {}
+    for space, make in sorted(BUILTIN_SPACES.items()):
+        for _, op, shape in walk(make()):
+            for leaf, leaf_shape in _leaf_layers(op, shape):
+                if leaf.kind in CONV_KINDS:
+                    seen.setdefault((leaf, leaf_shape), space)
+    return [(space, op, shape) for (op, shape), space in seen.items()]
+
+
+# The calibration space runs 128-512 channels at 32x32; at batch 32 one
+# k5 window matrix alone would be 0.8 GB, so it is checked at batch 2 only.
+CASES = [(op, shape, batch) for space, op, shape in _space_layers()
+         for batch in ((2,) if space == "calibration" else (2, 8, 32))]
+CASES.append((OperatorSpec(OpKind.DWConv, 16, 16, kernel=3, stride=2),
+              TensorShape(16, 8, 8), 8))
+
+
+def _case_id(case):
+    op, shape, batch = case
+    return (f"{op.kind.value}-{op.in_channels}x{op.out_channels}-k{op.kernel}"
+            f"-s{op.stride}-{shape.height}x{shape.width}-b{batch}")
+
+
+def _reference(op, w, b, x, g):
+    if op.kind is OpKind.DWConv:
+        return ref_dwconv(x, w, b, g, op.stride, op.padding)
+    return ref_conv(x, w, b, g, op.stride, op.padding)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_conv_kernels_match_reference_bitwise(case):
+    op, shape, batch = case
+    rng = np.random.default_rng(batch)
+    inst = ModuleInstance(op, rng)
+    for p in inst.params.values():
+        p.value += 0.1 * rng.standard_normal(p.value.shape)
+    x = rng.standard_normal((batch, shape.channels, shape.height, shape.width))
+    out = inst.forward(x)
+    g = rng.standard_normal(out.shape)
+    dx = inst.backward(g)
+    w, b = inst.params["weight"], inst.params["bias"]
+    ref_out, ref_dx, ref_dw, ref_db = _reference(op, w.value, b.value, x, g)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(dx, ref_dx)
+    assert np.array_equal(w.grad, ref_dw)
+    assert np.array_equal(b.grad, ref_db)
+    # dx keeps the reference memory layout, so reductions over it sum alike
+    assert dx.strides == ref_dx.strides
+
+
+POOL_CASES = [(3, 1, (4, 5, 8, 8)), (1, 2, (3, 4, 8, 8)), (3, 2, (2, 3, 9, 9)),
+              (5, 1, (2, 2, 7, 7)), (5, 2, (2, 3, 8, 8))]
+
+
+@pytest.mark.parametrize("kind", [OpKind.AvgPool, OpKind.MaxPool])
+@pytest.mark.parametrize("k,stride,x_shape", POOL_CASES)
+def test_pool_backward_matches_reference_bitwise(kind, k, stride, x_shape):
+    rng = np.random.default_rng(k + stride)
+    op = OperatorSpec(kind, x_shape[1], x_shape[1], kernel=k, stride=stride)
+    pad = op.padding
+    inst = ModuleInstance(op, rng)
+    x = rng.standard_normal(x_shape)
+    g = rng.standard_normal(inst.forward(x).shape)
+    dx = inst.backward(g)
+    ref = (ref_avgpool_dx(g, x_shape, k, stride, pad) if kind is OpKind.AvgPool
+           else ref_maxpool_dx(x, g, k, stride, pad))
+    assert np.array_equal(dx, ref)
+
+
+@pytest.mark.parametrize("batch,classes", [(1, 2), (8, 4), (32, 10)])
+def test_loss_ce_matches_reference_bitwise(batch, classes):
+    rng = np.random.default_rng(classes)
+    logits = 3.0 * rng.standard_normal((batch, classes))
+    labels = rng.integers(0, classes, size=batch)
+    loss, grad = loss_ce(logits, labels)
+    ref_loss, ref_grad = ref_loss_ce(logits, labels)
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+
+
+# ---------------------------------------------------------------------------
+# Skipped gradients: what a backward leaves out must not change what it keeps
+# ---------------------------------------------------------------------------
+
+PARAMETRIC = {
+    "Conv": (OperatorSpec(OpKind.Conv, 3, 4, kernel=3), (2, 3, 6, 6)),
+    "PointwiseConv": (OperatorSpec(OpKind.PointwiseConv, 4, 6), (2, 4, 5, 5)),
+    "DWConv": (OperatorSpec(OpKind.DWConv, 4, 4, kernel=3, stride=2), (2, 4, 7, 7)),
+    "Linear": (OperatorSpec(OpKind.Linear, 3 * 4 * 4, 5), (2, 3, 4, 4)),
+    "MBConv": (OperatorSpec(OpKind.MBConv, 4, 4, kernel=3, expand_ratio=2), (2, 4, 6, 6)),
+    "UpsampleNearest": (OperatorSpec(OpKind.UpsampleNearest, 4, 2, scale_factor=2),
+                        (2, 4, 3, 3)),
+    "UpsampleBilinear": (OperatorSpec(OpKind.UpsampleBilinear, 4, 2, scale_factor=2),
+                         (2, 4, 3, 3)),
+}
+
+
+def _grads(inst):
+    return {name: p.grad.copy() for name, p in inst.params.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMETRIC))
+def test_backward_skips_only_what_it_is_told(kind):
+    op, x_shape = PARAMETRIC[kind]
+    rng = np.random.default_rng(1)
+    inst = ModuleInstance(op, rng)
+    x = rng.standard_normal(x_shape)
+    g = rng.standard_normal(inst.forward(x).shape)
+    dx = inst.backward(g)
+    full = _grads(inst)
+    inst.zero_grad()
+
+    inst.forward(x)
+    assert inst.backward(g, input_grad=False) is None
+    assert all(np.array_equal(p.grad, full[n]) for n, p in inst.params.items())
+    inst.zero_grad()
+
+    inst.forward(x)
+    assert np.array_equal(inst.backward(g, param_grads=False), dx)
+    assert all(not p.grad.any() for p in inst.params.values())
+
+
+def _path_instances(model, gates):
+    return [(where, inst) for where, inst in model.instances.items()
+            if where[0] != "stages" or gates[where[1]] == where[2]]
+
+
+def _toy_batch(net, batch=8, seed=4):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch,) + tuple(net.input_shape.as_list()))
+    return x, rng.integers(0, net.num_classes, size=batch)
+
+
+@pytest.mark.parametrize("gates", [(0, 1, 2), (1, 0, 0), (2, 2, 1)])
+def test_gate_grads_accumulate_nothing_and_match_full_backward(gates):
+    supernet = BUILTIN_SPACES["toy-classification"]()
+    x, y = _toy_batch(supernet)
+    model = CompactNetModel(supernet, seed=2)
+    _, g = loss_ce(model.forward(x, gates, keep_stage_outputs=True), y)
+    scalars = model.gate_grads(g)
+    assert all(not p.grad.any() for p in model.named_parameters().values())
+
+    # reference: a full backward (input and parameter grads) of a twin model
+    twin, outputs = CompactNetModel(supernet, seed=2), {}
+    h = x
+    for where, inst in _path_instances(twin, gates):
+        h = inst.forward(h)
+        outputs[where] = h
+    d, expect = g[:, :, None, None], [0.0] * len(gates)
+    for where, inst in reversed(_path_instances(twin, gates)):
+        if where[0] == "stem":
+            break
+        if where[0] == "stages":
+            expect[where[1]] = float(np.sum(d * outputs[where]))
+        d = inst.backward(d)
+    assert scalars == expect
+
+
+def test_first_layer_input_grad_skip_keeps_param_grads():
+    supernet = BUILTIN_SPACES["toy-classification"]()
+    net = supernet.path([0, 1, 2])
+    x, y = _toy_batch(net)
+    model, twin = CompactNetModel(net, seed=3), CompactNetModel(net, seed=3)
+    _, g = loss_ce(model.forward(x), y)
+    model.backward(g)
+
+    h = x
+    for inst in twin.instances.values():
+        h = inst.forward(h)
+    d = g[:, :, None, None]
+    for inst in reversed(list(twin.instances.values())):
+        d = inst.backward(d)
+    got, expect = model.named_parameters(), twin.named_parameters()
+    assert all(np.array_equal(got[n].grad, expect[n].grad) for n in expect)
+    assert any(p.grad.any() for p in expect.values())
