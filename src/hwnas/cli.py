@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, costmodel, datasets, lint, profiler, search, spaces
-from .errors import HwnasError, ParseError
+from .errors import DeviceError, HwnasError, ParseError
 from .graph import CompactNet, SuperNet, Task, load_net, save_net, validate
 from .latency import DEFAULT_CLOCK_GHZ, compact_latency, load_lut, save_lut
 from .nncore import load_checkpoint, save_checkpoint
@@ -104,7 +104,7 @@ def _load_device(spec: str):
                              f"got {value!r}", spec)
     try:
         return device(**doc)
-    except TypeError as e:  # unknown or missing config fields
+    except (TypeError, ValueError) as e:  # unknown, missing or out-of-range fields
         raise ParseError(str(e), spec)
 
 
@@ -190,10 +190,26 @@ def svg_scatter(points, xlabel: str, ylabel: str, path):
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _partial_lut_path(out) -> Path:
+    """`x.lut.json` (or `x.json`) -> `x.partial.lut.json` in the same directory."""
+    out = Path(out)
+    stem = out.name[:-len(".lut.json")] if out.name.endswith(".lut.json") else out.stem
+    return out.with_name(stem + ".partial.lut.json")
+
+
 def cmd_lut_build(args):
     net = _load_supernet(args.net)
     device = _load_device(args.device)
-    lut = profiler.build_lut(device, net, n=args.stack_n, trials=args.trials)
+    try:
+        lut = profiler.build_lut(device, net, n=args.stack_n, trials=args.trials)
+    except DeviceError as e:
+        partial = getattr(e, "partial", None)
+        if partial is None:
+            raise
+        path = _partial_lut_path(args.out)
+        save_lut(partial, path)
+        raise DeviceError(f"{e}; the {len(partial.entries)} entries measured so far "
+                          f"are saved in {path}") from e
     save_lut(lut, args.out)
     write_manifest(Path(args.out).parent, "lut build", args,
                    getattr(device, "seed", None), {"lut": args.out})

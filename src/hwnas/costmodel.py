@@ -4,6 +4,14 @@ A small two-hidden-layer MLP regresses log(cycles) with MSE, which
 approximates relative error and matches the MAPE evaluation metric. Tables
 produced from the model are interchangeable with measured tables everywhere
 downstream; cycles convert to milliseconds through a configured clock rate.
+
+The trainer keeps every parameter in one flat float64 vector (`w1, b1, w2,
+b2, w3, b3` are reshaped views of it) and runs Adam once per epoch over the
+whole vector, with the gradient, the moments and the activations in buffers
+allocated once per fit. It is bitwise equal to a plain per-parameter Adam
+over freshly allocated arrays: each element sees the same float operations
+in the same order, and each matrix product the same operands and
+orientation. `tests/test_golden_costmodel.py` pins the result.
 """
 
 from __future__ import annotations
@@ -76,17 +84,11 @@ class CostModel:
     feat_mean: np.ndarray
     feat_std: np.ndarray
 
-    def _forward(self, feats: np.ndarray):
-        xn = (feats - self.feat_mean) / self.feat_std
-        a1 = xn @ self.w1.T + self.b1
-        h1 = np.maximum(a1, 0.0)
-        a2 = h1 @ self.w2.T + self.b2
-        h2 = np.maximum(a2, 0.0)
-        y = h2 @ self.w3 + self.b3
-        return y, (xn, a1, h1, a2, h2)
-
     def predict_log_cycles(self, feats: np.ndarray) -> np.ndarray:
-        return self._forward(np.atleast_2d(feats))[0]
+        xn = (np.atleast_2d(feats) - self.feat_mean) / self.feat_std
+        h1 = np.maximum(xn @ self.w1.T + self.b1, 0.0)
+        h2 = np.maximum(h1 @ self.w2.T + self.b2, 0.0)
+        return h2 @ self.w3 + self.b3
 
 
 def predict(model: CostModel, op: OperatorSpec, input_shape: TensorShape) -> float:
@@ -109,57 +111,84 @@ def _mape_from_log(pred_log, true_log) -> float:
     return float(np.mean(np.abs(pred - true) / true) * 100.0)
 
 
-def _fit_once(rng, cfg, x_tr, t_tr, x_va, t_va, mean, std):
-    """One Adam run with cosine lr decay; returns the best-validation snapshot."""
-    h1, h2 = cfg.hidden
-    d = x_tr.shape[1]
-    model = CostModel(
-        w1=rng.normal(0, math.sqrt(2.0 / d), (h1, d)), b1=np.zeros(h1),
-        w2=rng.normal(0, math.sqrt(2.0 / h1), (h2, h1)), b2=np.zeros(h2),
-        w3=rng.normal(0, math.sqrt(2.0 / h2), h2), b3=float(t_tr.mean()),
-        feat_mean=mean, feat_std=std)
+def _param_views(flat: np.ndarray, shapes: dict) -> dict:
+    """Reshaped views of consecutive slices of `flat`, one per named shape."""
+    views, off = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[off:off + size].reshape(shape)
+        off += size
+    return views
 
-    params = ["w1", "b1", "w2", "b2", "w3", "b3"]
-    m = {p: np.zeros_like(np.asarray(getattr(model, p), dtype=float)) for p in params}
-    v = {p: np.zeros_like(np.asarray(getattr(model, p), dtype=float)) for p in params}
+
+def _fit_once(rng, cfg, x_tr, t_tr, x_va, t_va, mean, std):
+    """One Adam run with cosine lr decay; returns the best-validation snapshot.
+
+    The parameters, their gradient, Adam's moments and two scratch vectors
+    share one flat layout; activations, masks and backward buffers are
+    allocated here, so an epoch allocates no array. The Adam lines evaluate
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2, mh = m/(1-b1**t),
+    vh = v/(1-b2**t), theta -= (lr*mh)/(sqrt(vh) + eps) one operation at a
+    time, in that order; reordering any of them changes the last bits.
+    """
+    h1, h2 = cfg.hidden
+    n, d = x_tr.shape
+    shapes = {"w1": (h1, d), "b1": (h1,), "w2": (h2, h1), "b2": (h2,),
+              "w3": (h2,), "b3": ()}
+    size = sum(math.prod(s) for s in shapes.values())
+    theta, grad, m, v, s1, s2 = (np.zeros(size) for _ in range(6))
+    P, G = _param_views(theta, shapes), _param_views(grad, shapes)
+    P["w1"][...] = rng.normal(0, math.sqrt(2.0 / d), (h1, d))
+    P["w2"][...] = rng.normal(0, math.sqrt(2.0 / h1), (h2, h1))
+    P["w3"][...] = rng.normal(0, math.sqrt(2.0 / h2), h2)
+    P["b3"][...] = float(t_tr.mean())
+    model = CostModel(w1=P["w1"], b1=P["b1"], w2=P["w2"], b2=P["b2"], w3=P["w3"],
+                      b3=float(P["b3"]), feat_mean=mean, feat_std=std)
+
+    xn = (x_tr - mean) / std
+    a1, hh1, dh1 = (np.empty((n, h1)) for _ in range(3))
+    a2, hh2, dh2 = (np.empty((n, h2)) for _ in range(3))
+    mask1, mask2 = np.empty((n, h1), dtype=bool), np.empty((n, h2), dtype=bool)
+    y, sq = np.empty(n), np.empty(n)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     train_losses, val_losses = [], []
     best, best_val = None, np.inf
 
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
-        y, (xn, a1, hh1, a2, hh2) = model._forward(x_tr)
-        diff = y - t_tr
-        loss = float(np.mean(diff ** 2))
+        np.add(np.matmul(xn, P["w1"].T, out=a1), P["b1"], out=a1)
+        np.maximum(a1, 0.0, out=hh1)
+        np.add(np.matmul(hh1, P["w2"].T, out=a2), P["b2"], out=a2)
+        np.maximum(a2, 0.0, out=hh2)
+        np.add(np.matmul(hh2, P["w3"], out=y), P["b3"], out=y)
+        diff = np.subtract(y, t_tr, out=y)
+        loss = float(np.mean(np.square(diff, out=sq)))
         if not np.isfinite(loss):
             raise NonFiniteLoss(f"cost-model loss diverged at epoch {epoch}")
-        n = len(t_tr)
-        dy = 2.0 * diff / n
-        grads = {
-            "b3": float(dy.sum()),
-            "w3": hh2.T @ dy,
-        }
-        dh2 = np.outer(dy, model.w3) * (a2 > 0)
-        grads["w2"] = dh2.T @ hh1
-        grads["b2"] = dh2.sum(axis=0)
-        dh1 = (dh2 @ model.w2) * (a1 > 0)
-        grads["w1"] = dh1.T @ xn
-        grads["b1"] = dh1.sum(axis=0)
+        dy = np.divide(np.multiply(diff, 2.0, out=diff), n, out=diff)
+        dy.sum(out=G["b3"])
+        np.matmul(hh2.T, dy, out=G["w3"])
+        np.multiply(np.multiply.outer(dy, P["w3"], out=dh2),
+                    np.greater(a2, 0, out=mask2), out=dh2)
+        np.matmul(dh2.T, hh1, out=G["w2"])
+        dh2.sum(axis=0, out=G["b2"])
+        np.multiply(np.matmul(dh2, P["w2"], out=dh1),
+                    np.greater(a1, 0, out=mask1), out=dh1)
+        np.matmul(dh1.T, xn, out=G["w1"])
+        dh1.sum(axis=0, out=G["b1"])
 
-        for p in params:
-            g = np.asarray(grads[p], dtype=float)
-            m[p] = beta1 * m[p] + (1 - beta1) * g
-            v[p] = beta2 * v[p] + (1 - beta2) * g ** 2
-            mh = m[p] / (1 - beta1 ** epoch)
-            vh = v[p] / (1 - beta2 ** epoch)
-            update = lr * mh / (np.sqrt(vh) + eps)
-            if p == "b3":
-                model.b3 -= float(update)
-            else:
-                setattr(model, p, getattr(model, p) - update)
+        np.add(np.multiply(m, beta1, out=m), np.multiply(grad, 1 - beta1, out=s1), out=m)
+        np.multiply(np.square(grad, out=s1), 1 - beta2, out=s1)
+        np.add(np.multiply(v, beta2, out=v), s1, out=v)
+        mh = np.divide(m, 1 - beta1 ** epoch, out=s1)
+        vh = np.divide(v, 1 - beta2 ** epoch, out=s2)
+        update = np.divide(np.multiply(mh, lr, out=mh),
+                           np.add(np.sqrt(vh, out=vh), eps, out=vh), out=mh)
+        np.subtract(theta, update, out=theta)
 
         if epoch % cfg.val_every == 0 or epoch == cfg.epochs:
             train_losses.append(loss)
+            model.b3 = float(P["b3"])
             yv = model.predict_log_cycles(x_va)
             val_loss = float(np.mean((yv - t_va) ** 2))
             val_losses.append(val_loss)

@@ -71,6 +71,17 @@ def op_macs(op: OperatorSpec, in_shape: TensorShape) -> int:
     raise ValueError(f"unhandled kind {k}")  # pragma: no cover
 
 
+_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
+
+
+def _check_range(device, names, bound: str) -> None:
+    """ValueError naming the first of the device's `names` not `bound` (NaN fails)."""
+    for name in names:
+        value = getattr(device, name)
+        if not _BOUNDS[bound](value):
+            raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
 _CHANNEL_COMPUTE = {OpKind.Conv, OpKind.DWConv, OpKind.PointwiseConv,
                     OpKind.MBConv, OpKind.Linear}
 
@@ -96,6 +107,10 @@ class SimulatedVPU:
     seed: int = 0
 
     def __post_init__(self):
+        _check_range(self, ("clock_ghz", "macs_per_cycle", "dsp_penalty_factor"), "> 0")
+        _check_range(self, ("graph_overhead_ms", "dma_ms_per_mb", "noise_sigma_rel"),
+                     ">= 0")
+        _check_range(self, ("channel_granularity",), ">= 1")
         self._rng = np.random.default_rng(self.seed)
 
     @property
@@ -143,6 +158,9 @@ class ExternalCommandRunner:
     command_template: str
     timeout_s: float = 60.0
     name: str = "external"
+
+    def __post_init__(self):
+        _check_range(self, ("timeout_s",), "> 0")
 
     def run(self, net: CompactNet, trials: int) -> list:
         with tempfile.TemporaryDirectory() as tmp:

@@ -54,13 +54,18 @@ def arch_grad(dl_dg, p) -> np.ndarray:
     return p * (dl_dg - float(p @ dl_dg))
 
 
-def total_loss(ce: float, params, e_latency: float, cfg) -> float:
-    """ce + lambda1*||w||^2 + lambda2*E[latency], recomputed for logging.
+def weight_l2(params) -> float:
+    """||w||^2: the sum of squares of every parameter's value."""
+    return sum(float(np.sum(p.value ** 2)) for p in params)
 
-    The lambda1 term is applied during optimization through SGD weight decay;
-    this recomputes it explicitly so reported losses are comparable.
+
+def total_loss(ce: float, l2: float, e_latency: float, cfg) -> float:
+    """ce + lambda1*l2 + lambda2*E[latency], recomputed for logging.
+
+    `l2` is `weight_l2` of the weights. The lambda1 term is applied during
+    optimization through SGD weight decay; this recomputes it explicitly so
+    reported losses are comparable.
     """
-    l2 = sum(float(np.sum(p.value ** 2)) for p in params)
     return ce + cfg.lambda1 * l2 + cfg.lambda2 * e_latency
 
 
@@ -280,6 +285,7 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
             sgd_step(model.path_parameters(), cfg.lr_weights, weight_decay=cfg.lambda1)
 
         # -- architecture updates on the validation split: weights frozen --
+        l2 = weight_l2(model.named_parameters().values())
         val_losses = []
         for _ in range(cfg.arch_steps_per_round):
             probs = [path_probs(a) for a in alphas]
@@ -289,8 +295,7 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
             ce, g = _task_loss(task, out, yb)
             check_finite(ce, "arch step")
             e_lat = expected_network_latency(list(zip(probs, f_vectors)), fixed_ms)
-            val_losses.append(total_loss(ce, model.named_parameters().values(),
-                                         e_lat, cfg))
+            val_losses.append(total_loss(ce, l2, e_lat, cfg))
             gate_scalars = model.gate_grads(g)
             for i, (p, a) in enumerate(zip(probs, alphas)):
                 dl_dg = np.zeros(len(p))

@@ -11,7 +11,7 @@ from hwnas.cli import main
 from hwnas.errors import DeviceError
 from hwnas.graph import (CompactNet, OperatorSpec, OpKind, Task, TensorShape,
                          save_net)
-from hwnas.latency import LatencyTable, save_lut
+from hwnas.latency import LatencyTable, load_lut, save_lut
 from hwnas.profiler import ExternalCommandRunner
 
 
@@ -86,6 +86,21 @@ MALFORMED = {
                                   ["report", "--manifest", "{file}",
                                    "--out-dir", "{tmp}/rep"]),
 }
+
+# Out-of-range device config values end in exit 1 before any measurement.
+for _kind, _field, _value in [("sim", "clock_ghz", 0), ("sim", "macs_per_cycle", -256.0),
+                              ("sim", "dsp_penalty_factor", 0.0),
+                              ("sim", "graph_overhead_ms", -0.2),
+                              ("sim", "dma_ms_per_mb", -0.01),
+                              ("sim", "noise_sigma_rel", -0.05),
+                              ("sim", "channel_granularity", 0),
+                              ("command", "timeout_s", 0)]:
+    _doc = {"type": _kind, _field: _value}
+    if _kind == "command":
+        _doc["command_template"] = "true"
+    MALFORMED[f"device-{_field}-out-of-range"] = (
+        "dev.json", _doc, ["lut", "build", "--net", "toy-classification",
+                           "--device", "{file}", "--out", "{tmp}/l.lut.json"])
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -193,6 +208,36 @@ def test_external_command_failure_is_device_error(tmp_path):
                      num_classes=2)
     with pytest.raises(DeviceError):
         dev.run(net, 1)
+
+
+def test_lut_build_keeps_partial_table_of_failed_profile(tmp_path, capsys):
+    """A device that fails on its 4th call keeps what its first 3 calls measured:
+    the stem Conv (its anchor, then the Conv) and the stage-0 Conv."""
+    script = tmp_path / "dev.py"
+    script.write_text(
+        "import pathlib, sys\n"
+        f"count = pathlib.Path({str(tmp_path / 'calls')!r})\n"
+        "n = int(count.read_text()) + 1 if count.exists() else 1\n"
+        "count.write_text(str(n))\n"
+        "if n == 4:\n"
+        "    sys.exit('device lost')\n"
+        "for _ in range(int(sys.argv[2])):\n"
+        "    print(0.5)\n")
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps({"type": "command", "command_template":
+                               f"{sys.executable} {script} {{graph}} {{trials}}"}))
+    out = tmp_path / "toy.lut.json"
+    assert run_cli("lut", "build", "--net", "toy-classification", "--device", str(dev),
+                   "--out", str(out), "--trials", "1") == 1
+    partial = tmp_path / "toy.partial.lut.json"
+    err = capsys.readouterr().err
+    assert err.startswith("error: device command exited 1: device lost")
+    assert str(partial) in err
+    assert not out.exists()
+    lut = load_lut(partial)
+    assert lut.incomplete
+    assert sorted(k for k in lut.entries if not k.startswith("Identity")) == [
+        "Conv:k3:s1:e1:i16x8x8:o16", "Conv:k3:s1:e1:i3x8x8:o16"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,67 @@
+"""Golden outputs of cost-model training: sha256 of the model file, of the
+`--json` summary and of the loss curves for fixed-seed `costmodel train` runs.
+
+The trainer must do the same float operations on the same operands in the
+same order, so any change to initialisation, the forward or backward pass,
+the Adam update, the validation checkpoints or the snapshot choice fails
+here. The model file stores every weight as a round-tripping float. The
+250-epoch run passes ten validation checkpoints (`val_every` = 25).
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from hwnas import costmodel
+from hwnas.cli import main
+from hwnas.profiler import SimulatedVPU
+
+ARGS = ["--simulate", "200", "--seed", "3"]
+
+GOLDEN = {
+    100: {
+        "model": "99c9c164db96872573c0707219e688efee07f4291dd2bb2c5f9e7be1a05c4c44",
+        "stdout": "ec894426ea3cc011955a95f5125a247b753fb099f2ff8307069657eb745fb02e",
+    },
+    250: {
+        "model": "0e38f5cbcea6415ab97070cbdc2b727bcedeefd6e089f8110b40f5481093b539",
+        "stdout": "14e646c53dce889f4843f790d9678c3aa1c2e87f278f96bcc5d69047c34ceeaf",
+    },
+}
+
+# repr of (train_losses, val_losses) of the kept restart, 250 epochs
+GOLDEN_CURVES = "9a16db5312304cfb673e243522e0d5f04739cc9351374dc9bd8d2327adc4628d"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("epochs", sorted(GOLDEN))
+def test_costmodel_train_golden(epochs, tmp_path, capsys):
+    out = tmp_path / "cost.model.json"
+    assert main(["--json", "costmodel", "train", *ARGS, "--epochs", str(epochs),
+                 "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.replace(str(out), "{out}")
+    got = {"model": _sha(out.read_bytes()), "stdout": _sha(stdout.encode())}
+    assert got == GOLDEN[epochs]
+
+
+def test_costmodel_loss_curves_golden():
+    records = costmodel.simulate_records(SimulatedVPU(), 200, seed=3)
+    _, report = costmodel.train_cost_model(
+        records, costmodel.CostModelConfig(epochs=250, seed=3))
+    assert len(report.train_losses) == len(report.val_losses) == 10
+    curves = repr((report.train_losses, report.val_losses))
+    assert _sha(curves.encode()) == GOLDEN_CURVES
+
+
+def test_costmodel_diverging_lr_message(tmp_path, capsys):
+    out = tmp_path / "cost.model.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["costmodel", "train", *ARGS, "--epochs", "100", "--lr", "1e60",
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: cost-model loss diverged at epoch 2\n"
+    assert not out.exists()

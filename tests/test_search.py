@@ -7,7 +7,8 @@ from hwnas.graph import (MixedStage, OperatorSpec, OpKind, SuperNet, Task,
                          TensorShape)
 from hwnas.latency import LatencyTable, canonical_key
 from hwnas.search import (ArchParams, SearchConfig, arch_grad, derive_compact,
-                          path_probs, sample_gate, total_loss, train_search)
+                          path_probs, sample_gate, total_loss, train_search,
+                          weight_l2)
 
 
 # ---------------------------------------------------------------------------
@@ -114,18 +115,18 @@ def _params(*arrays):
 
 def test_total_loss_reduces_to_ce():
     cfg = SearchConfig(lambda1=0.0, lambda2=0.0)
-    assert total_loss(1.25, _params(np.ones(4)), 3.0, cfg) == 1.25
+    assert total_loss(1.25, weight_l2(_params(np.ones(4))), 3.0, cfg) == 1.25
 
 
 def test_total_loss_arithmetic():
     cfg = SearchConfig(lambda1=0.1, lambda2=0.5)
     # ce 1, ||w||^2 = 2, E[lat] = 3 -> 1 + 0.2 + 1.5
-    w = _params(np.array([1.0, 1.0]))
+    w = weight_l2(_params(np.array([1.0, 1.0])))
     assert total_loss(1.0, w, 3.0, cfg) == pytest.approx(2.7, abs=1e-12)
 
 
 def test_total_loss_monotone_in_lambda2():
-    w = _params(np.array([0.5]))
+    w = weight_l2(_params(np.array([0.5])))
     lo = total_loss(1.0, w, 2.0, SearchConfig(lambda2=0.1))
     hi = total_loss(1.0, w, 2.0, SearchConfig(lambda2=0.2))
     assert hi > lo
