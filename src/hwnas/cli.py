@@ -13,14 +13,12 @@ import hashlib
 import json
 import os
 import sys
-import typing
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, costmodel, datasets, lint, profiler, search, spaces
 from .errors import DeviceError, HwnasError, ParseError
 from .graph import CompactNet, SuperNet, Task, load_net, save_net, validate
+from .jsonio import field, from_fields, numbers, read_object, write_object
 from .latency import DEFAULT_CLOCK_GHZ, compact_latency, load_lut, save_lut
 from .nncore import load_checkpoint, save_checkpoint
 
@@ -61,7 +59,7 @@ def write_manifest(out_dir, command: str, args, seed, artifacts: dict):
                       for name, p in artifacts.items()},
     }
     path = out_dir / "run_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    write_object(path, manifest, indent=2)
     return path
 
 
@@ -69,18 +67,15 @@ def write_manifest(out_dir, command: str, args, seed, artifacts: dict):
 # Shared argument plumbing
 # ---------------------------------------------------------------------------
 
-def _read_json_object(path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}", str(path))
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object", str(path))
-    return doc
-
-
-# JSON value types accepted for a device config field of each annotated type
-_JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
+def _lower_bound(low, strict=False):
+    """argparse type: a value of low's type, >= low (> low when strict); NaN fails."""
+    def parse(text):
+        value = type(low)(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}")
+        return value
+    parse.__name__ = type(low).__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _load_device(spec: str):
@@ -90,28 +85,19 @@ def _load_device(spec: str):
         if not path:
             return profiler.SimulatedVPU()
         spec = path
-    doc = _read_json_object(spec)
+    doc = read_object(spec)
     kind = doc.pop("type", "sim")
     devices = {"sim": profiler.SimulatedVPU, "command": profiler.ExternalCommandRunner}
     device = devices.get(kind) if isinstance(kind, str) else None
     if device is None:
         raise HwnasError(f"unknown device type {kind!r}")
-    hints = typing.get_type_hints(device)
-    for name, value in doc.items():
-        accepted = _JSON_TYPES.get(hints.get(name))
-        if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
-            raise ParseError(f"field {name!r} must be {hints[name].__name__}, "
-                             f"got {value!r}", spec)
-    try:
-        return device(**doc)
-    except (TypeError, ValueError) as e:  # unknown, missing or out-of-range fields
-        raise ParseError(str(e), spec)
+    return from_fields(device, doc, spec)
 
 
 def _add_dataset_args(p):
-    p.add_argument("--data-samples", type=int, default=400)
-    p.add_argument("--data-size", type=int, default=8)
-    p.add_argument("--data-classes", type=int, default=4)
+    p.add_argument("--data-samples", type=_lower_bound(datasets.MIN_SAMPLES), default=400)
+    p.add_argument("--data-size", type=_lower_bound(1), default=8)
+    p.add_argument("--data-classes", type=_lower_bound(2), default=4)
     p.add_argument("--data-noise", type=float, default=0.15)
     p.add_argument("--data-seed", type=int, default=42)
 
@@ -263,7 +249,7 @@ def cmd_search_run(args):
         raise HwnasError(f"invalid supernet: {report.findings[0]}")
     lut = load_lut(args.lut)
     if args.config:
-        cfg = search.SearchConfig.load(args.config)
+        cfg = from_fields(search.SearchConfig, read_object(args.config), args.config)
         if args.seed is not None:
             cfg.seed = args.seed
     else:
@@ -272,8 +258,7 @@ def cmd_search_run(args):
             lr_arch=args.lr_arch, rounds=args.rounds, batch_size=args.batch_size,
             weight_steps_per_round=args.weight_steps,
             arch_steps_per_round=args.arch_steps,
-            seed=args.seed if args.seed is not None else 0,
-            latency_source=args.lut)
+            seed=args.seed if args.seed is not None else 0)
     ds = _make_dataset(net.task, args)
     state, history = search.train_search(net, ds.train, ds.val, cfg, lut)
 
@@ -282,9 +267,7 @@ def cmd_search_run(args):
     hist_path = out_dir / "history.csv"
     hist_path.write_text(history.to_csv(), encoding="utf-8")
     arch_path = out_dir / "arch.json"
-    arch_path.write_text(json.dumps(
-        {"alphas": [v.tolist() for v in state.arch.vectors]}, indent=2) + "\n",
-        encoding="utf-8")
+    write_object(arch_path, {"alphas": [v.tolist() for v in state.arch.vectors]}, indent=2)
     net_path = out_dir / "supernet.net.json"
     save_net(net, net_path)
     write_manifest(out_dir, "search run", args, cfg.seed,
@@ -294,14 +277,9 @@ def cmd_search_run(args):
 
 
 def _load_arch(path) -> search.ArchParams:
-    doc = _read_json_object(path)
-    if "alphas" not in doc:
-        raise ParseError("missing field 'alphas'", str(path))
-    try:
-        return search.ArchParams(tuple(np.asarray(a, dtype=np.float64)
-                                       for a in doc["alphas"]))
-    except (TypeError, ValueError):
-        raise ParseError("alphas must be lists of numbers", str(path))
+    alphas = field(read_object(path), "alphas", list, path)
+    return search.ArchParams(tuple(numbers(a, f"{path}: alphas[{i}]")
+                                   for i, a in enumerate(alphas)))
 
 
 def cmd_derive(args):
@@ -349,7 +327,7 @@ def cmd_eval(args):
     if args.lut:
         metrics["lut_latency_ms"] = compact_latency(net, load_lut(args.lut))
     if args.out:
-        Path(args.out).write_text(json.dumps(metrics, indent=2) + "\n", encoding="utf-8")
+        write_object(args.out, metrics, indent=2)
         write_manifest(Path(args.out).parent, "eval", args, args.seed,
                        {"metrics": args.out})
     _emit(args, metrics)
@@ -387,7 +365,7 @@ def cmd_calibrate(args):
     summary = {"mape_percent": report.mape_percent, "pearson": report.pearson,
                "samples": args.samples, "note": report.note}
     json_path = prefix.with_suffix(".json")
-    json_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    write_object(json_path, summary, indent=2)
     write_manifest(prefix.parent, "calibrate", args, args.seed,
                    {"calibration_csv": csv_path, "calibration_json": json_path})
     _emit(args, summary)
@@ -395,21 +373,16 @@ def cmd_calibrate(args):
 
 
 def cmd_report(args):
-    manifest = _read_json_object(args.manifest)
+    manifest = read_object(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     produced = {}
     summary = {"source_manifest": args.manifest, "command": manifest.get("command")}
-    arts = manifest.get("artifacts", {})
-    if not isinstance(arts, dict):
-        raise ParseError("'artifacts' must be an object", args.manifest)
-    for name, entry in arts.items():
-        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str)
-                and isinstance(entry.get("sha256"), str)):
-            raise ParseError(f"artifact {name!r} needs string fields 'path' and 'sha256'",
-                             args.manifest)
-        path = Path(entry["path"])
-        if content_hash(path) != entry["sha256"]:
+    for name, entry in field(manifest, "artifacts", dict, args.manifest, default={}).items():
+        if not isinstance(entry, dict):
+            raise ParseError(f"artifact {name!r} must be an object", args.manifest)
+        path = Path(field(entry, "path", str, args.manifest))
+        if content_hash(path) != field(entry, "sha256", str, args.manifest):
             raise HwnasError(f"artifact {name} changed since manifest was written")
         if name == "calibration_csv":
             rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
@@ -419,7 +392,7 @@ def cmd_report(args):
             produced["calibration_scatter"] = svg
     summary_path = out_dir / "report.json"
     summary["plots"] = {k: str(v) for k, v in produced.items()}
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    write_object(summary_path, summary, indent=2)
     produced["summary"] = summary_path
     write_manifest(out_dir, "report", args, None, produced)
     _emit(args, {"out_dir": str(out_dir), "plots": len(produced) - 1})
@@ -442,14 +415,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True, help="supernet file or builtin space name")
     p.add_argument("--device", default="sim")
     p.add_argument("--out", required=True)
-    p.add_argument("--stack-n", type=int, default=profiler.DEFAULT_STACK_N)
-    p.add_argument("--trials", type=int, default=profiler.DEFAULT_TRIALS)
+    p.add_argument("--stack-n", type=_lower_bound(1), default=profiler.DEFAULT_STACK_N)
+    p.add_argument("--trials", type=_lower_bound(1), default=profiler.DEFAULT_TRIALS)
     p.set_defaults(func=cmd_lut_build)
     p = lut.add_parser("from-model", help="predict a LUT with a trained cost model")
     p.add_argument("--net", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--clock-ghz", type=float, default=DEFAULT_CLOCK_GHZ)
+    p.add_argument("--clock-ghz", type=_lower_bound(0.0, strict=True), default=DEFAULT_CLOCK_GHZ)
     p.set_defaults(func=cmd_lut_from_model)
 
     cm = sub.add_parser("costmodel").add_subparsers(dest="cm_cmd", required=True)
@@ -459,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generate N records from the device when --records absent")
     p.add_argument("--save-records", help="where to write simulated records")
     p.add_argument("--device", default="sim")
-    p.add_argument("--clock-ghz", type=float, default=DEFAULT_CLOCK_GHZ)
-    p.add_argument("--epochs", type=int, default=3000)
+    p.add_argument("--clock-ghz", type=_lower_bound(0.0, strict=True), default=DEFAULT_CLOCK_GHZ)
+    p.add_argument("--epochs", type=_lower_bound(1), default=3000)
     p.add_argument("--lr", type=float, default=5e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -475,14 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--lut", required=True)
     p.add_argument("--config", help=".search.json config file")
-    p.add_argument("--lambda1", type=float, default=0.0)
-    p.add_argument("--lambda2", type=float, default=0.0)
-    p.add_argument("--lr-weights", type=float, default=0.02)
-    p.add_argument("--lr-arch", type=float, default=0.2)
-    p.add_argument("--rounds", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--weight-steps", type=int, default=8)
-    p.add_argument("--arch-steps", type=int, default=4)
+    p.add_argument("--lambda1", type=_lower_bound(0.0), default=0.0)
+    p.add_argument("--lambda2", type=_lower_bound(0.0), default=0.0)
+    p.add_argument("--lr-weights", type=_lower_bound(0.0, strict=True), default=0.02)
+    p.add_argument("--lr-arch", type=_lower_bound(0.0, strict=True), default=0.2)
+    p.add_argument("--rounds", type=_lower_bound(0), default=30)
+    p.add_argument("--batch-size", type=_lower_bound(1), default=16)
+    p.add_argument("--weight-steps", type=_lower_bound(1), default=8)
+    p.add_argument("--arch-steps", type=_lower_bound(1), default=4)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     _add_dataset_args(p)
@@ -497,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-compact")
     p.add_argument("--net", required=True)
     p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_lower_bound(1), default=32)
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--weight-decay", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
@@ -528,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--lut", required=True)
     p.add_argument("--device", default="sim")
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--trials", type=int, default=profiler.DEFAULT_TRIALS)
+    p.add_argument("--samples", type=_lower_bound(1), default=50)
+    p.add_argument("--trials", type=_lower_bound(1), default=profiler.DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_calibrate)
@@ -546,10 +519,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except HwnasError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (HwnasError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

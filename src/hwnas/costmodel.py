@@ -24,7 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySet, InsufficientData, NonFiniteLoss, ParseError
-from .graph import OperatorSpec, OpKind, SuperNet, TensorShape, output_shape
+from .graph import (OperatorSpec, OpKind, SuperNet, TensorShape, _op_from_json, _op_to_json,
+                    _shape_from_json, output_shape)
+from .jsonio import (array_from_json, array_to_json, field, loads_object, read_object,
+                     read_text, write_object)
 from .latency import DEFAULT_CLOCK_GHZ, LatencyTable
 from .profiler import enumerate_search_space
 
@@ -32,6 +35,15 @@ MODEL_VERSION = 1
 
 _KIND_ORDER = list(OpKind)
 FEATURE_DIM = len(_KIND_ORDER) + 8 + 1  # one-hot kind + scalar features + slope flag
+
+HIDDEN = (64, 64)    # widths of the two hidden layers
+VAL_FRACTION = 0.2   # share of the records held out for validation
+RESTARTS = 5         # independent initialisations; the best validation snapshot wins
+VAL_EVERY = 25       # epochs between validation checkpoints
+_ARRAYS = ("w1", "b1", "w2", "b2", "w3", "feat_mean", "feat_std")  # model file order
+_PARAM_SHAPES = {"w1": (HIDDEN[0], FEATURE_DIM), "b1": (HIDDEN[0],),
+                 "w2": (HIDDEN[1], HIDDEN[0]), "b2": (HIDDEN[1],), "w3": (HIDDEN[1],),
+                 "b3": ()}
 
 
 @dataclass(frozen=True)
@@ -64,11 +76,7 @@ def encode_features(op: OperatorSpec, input_shape: TensorShape) -> np.ndarray:
 class CostModelConfig:
     epochs: int = 3000
     lr: float = 5e-3
-    hidden: tuple = (64, 64)
-    val_fraction: float = 0.2
     seed: int = 0
-    restarts: int = 5
-    val_every: int = 25
 
 
 @dataclass
@@ -106,9 +114,10 @@ class TrainingReport:
 
 
 def _mape_from_log(pred_log, true_log) -> float:
-    pred = np.exp(pred_log)
-    true = np.exp(true_log)
-    return float(np.mean(np.abs(pred - true) / true) * 100.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model reads inf or NaN
+        pred = np.exp(pred_log)
+        true = np.exp(true_log)
+        return float(np.mean(np.abs(pred - true) / true) * 100.0)
 
 
 def _param_views(flat: np.ndarray, shapes: dict) -> dict:
@@ -131,13 +140,11 @@ def _fit_once(rng, cfg, x_tr, t_tr, x_va, t_va, mean, std):
     vh = v/(1-b2**t), theta -= (lr*mh)/(sqrt(vh) + eps) one operation at a
     time, in that order; reordering any of them changes the last bits.
     """
-    h1, h2 = cfg.hidden
+    h1, h2 = HIDDEN
     n, d = x_tr.shape
-    shapes = {"w1": (h1, d), "b1": (h1,), "w2": (h2, h1), "b2": (h2,),
-              "w3": (h2,), "b3": ()}
-    size = sum(math.prod(s) for s in shapes.values())
+    size = sum(math.prod(s) for s in _PARAM_SHAPES.values())
     theta, grad, m, v, s1, s2 = (np.zeros(size) for _ in range(6))
-    P, G = _param_views(theta, shapes), _param_views(grad, shapes)
+    P, G = _param_views(theta, _PARAM_SHAPES), _param_views(grad, _PARAM_SHAPES)
     P["w1"][...] = rng.normal(0, math.sqrt(2.0 / d), (h1, d))
     P["w2"][...] = rng.normal(0, math.sqrt(2.0 / h1), (h2, h1))
     P["w3"][...] = rng.normal(0, math.sqrt(2.0 / h2), h2)
@@ -186,7 +193,7 @@ def _fit_once(rng, cfg, x_tr, t_tr, x_va, t_va, mean, std):
                            np.add(np.sqrt(vh, out=vh), eps, out=vh), out=mh)
         np.subtract(theta, update, out=theta)
 
-        if epoch % cfg.val_every == 0 or epoch == cfg.epochs:
+        if epoch % VAL_EVERY == 0 or epoch == cfg.epochs:
             train_losses.append(loss)
             model.b3 = float(P["b3"])
             yv = model.predict_log_cycles(x_va)
@@ -202,7 +209,7 @@ def _fit_once(rng, cfg, x_tr, t_tr, x_va, t_va, mean, std):
 def train_cost_model(records, config: CostModelConfig = None):
     """Fit the MLP on profile records; returns (CostModel, TrainingReport).
 
-    Runs cfg.restarts independent initializations (shared train/val split) and
+    Runs RESTARTS independent initializations (shared train/val split) and
     keeps the snapshot with the lowest validation loss seen at any checkpoint:
     with a few hundred records the loss surface is rough enough that single
     runs land in noticeably different minima. Deterministic given config.seed;
@@ -217,7 +224,7 @@ def train_cost_model(records, config: CostModelConfig = None):
 
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(records))
-    n_val = max(1, int(len(records) * cfg.val_fraction))
+    n_val = max(1, int(len(records) * VAL_FRACTION))
     val_idx, tr_idx = order[:n_val], order[n_val:]
     x_tr, t_tr = feats[tr_idx], targets[tr_idx]
     x_va, t_va = feats[val_idx], targets[val_idx]
@@ -228,7 +235,7 @@ def train_cost_model(records, config: CostModelConfig = None):
     best = None
     best_val = np.inf
     best_curves = ([], [])
-    for _ in range(max(1, cfg.restarts)):
+    for _ in range(RESTARTS):
         model, val_loss, tr_losses, va_losses = _fit_once(
             rng, cfg, x_tr, t_tr, x_va, t_va, mean, std)
         if val_loss < best_val:
@@ -239,6 +246,10 @@ def train_cost_model(records, config: CostModelConfig = None):
         train_losses=best_curves[0], val_losses=best_curves[1],
         final_train_mape=_mape_from_log(best.predict_log_cycles(x_tr), t_tr),
         final_val_mape=_mape_from_log(best.predict_log_cycles(x_va), t_va))
+    if not (math.isfinite(report.final_train_mape) and math.isfinite(report.final_val_mape)):
+        raise NonFiniteLoss(f"cost-model predictions overflow: train MAPE "
+                            f"{report.final_train_mape} %, validation MAPE "
+                            f"{report.final_val_mape} %")
     return best, report
 
 
@@ -273,7 +284,6 @@ def lut_from_model(model: CostModel, supernet: SuperNet,
 # ---------------------------------------------------------------------------
 
 def save_records(records, path) -> None:
-    from .graph import _op_to_json
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
             fh.write(json.dumps({"op": _op_to_json(r.op),
@@ -282,49 +292,39 @@ def save_records(records, path) -> None:
 
 
 def load_records(path) -> list:
-    from .graph import _op_from_json, _shape_from_json
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON: {e}", f"{path}:{lineno}")
-            where = f"{path}:{lineno}"
-            if set(doc) != {"op", "input_shape", "measured_cycles"}:
-                raise ParseError("record needs op/input_shape/measured_cycles", where)
-            op = _op_from_json(doc["op"], where)
-            shape = _shape_from_json(doc["input_shape"], where)
-            cycles = doc["measured_cycles"]
-            if not isinstance(cycles, (int, float)) or isinstance(cycles, bool) \
-                    or not math.isfinite(cycles) or cycles <= 0:
-                raise ParseError(f"bad measured_cycles {cycles!r}", where)
-            records.append(ProfileRecord(op, shape, float(cycles)))
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        doc = loads_object(line, where)
+        if set(doc) != {"op", "input_shape", "measured_cycles"}:
+            raise ParseError("record needs op/input_shape/measured_cycles", where)
+        op = _op_from_json(doc["op"], where)
+        shape = _shape_from_json(doc["input_shape"], where)
+        cycles = float(field(doc, "measured_cycles", float, where))
+        if cycles <= 0:
+            raise ParseError(f"measured_cycles must be > 0, got {cycles!r}", where)
+        records.append(ProfileRecord(op, shape, cycles))
     return records
 
 
 def save_model(model: CostModel, path) -> None:
     doc = {"version": MODEL_VERSION}
-    for name in ("w1", "b1", "w2", "b2", "w3", "feat_mean", "feat_std"):
-        arr = getattr(model, name)
-        doc[name] = {"dims": list(arr.shape), "data": arr.reshape(-1).tolist()}
+    for name in _ARRAYS:
+        doc[name] = array_to_json(getattr(model, name))
     doc["b3"] = model.b3
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    write_object(path, doc)
 
 
 def load_model(path) -> CostModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_object(path)
     if doc.get("version") != MODEL_VERSION:
         raise ParseError(f"unsupported model version {doc.get('version')!r}", str(path))
-    kw = {}
-    for name in ("w1", "b1", "w2", "b2", "w3", "feat_mean", "feat_std"):
-        entry = doc[name]
-        kw[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["dims"])
-    return CostModel(b3=float(doc["b3"]), **kw)
+    shapes = _PARAM_SHAPES | {"feat_mean": (FEATURE_DIM,), "feat_std": (FEATURE_DIM,)}
+    kw = {name: array_from_json(field(doc, name, dict, path), shapes[name], f"{path}: {name}")
+          for name in _ARRAYS}
+    return CostModel(b3=float(field(doc, "b3", float, path)), **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .errors import ShapeMismatch
 from .graph import Task
 
 PSNR_CAP_DB = 99.0
+MIN_SAMPLES = 7  # the fewest samples whose 70/15/15 split leaves no part empty
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import InvalidOp, ParseError
+from .jsonio import field, loads_object, read_text
 
 
 class OpKind(str, Enum):
@@ -344,15 +345,10 @@ def _op_to_json(op: OperatorSpec) -> dict:
 
 
 def _parse_fraction(v, path: str) -> Fraction:
+    """An integer, an integral float or a "p/q" string."""
     try:
-        if isinstance(v, bool):
-            raise ValueError
-        if isinstance(v, int):
+        if type(v) in (int, str) or (type(v) is float and v.is_integer()):
             return Fraction(v)
-        if isinstance(v, str):
-            return Fraction(v)
-        if isinstance(v, float) and v == int(v):
-            return Fraction(int(v))
     except (ValueError, ZeroDivisionError):
         pass
     raise ParseError(f"bad expand_ratio {v!r}", path)
@@ -364,32 +360,19 @@ def _op_from_json(obj, path: str) -> OperatorSpec:
     unknown = set(obj) - set(_OP_FIELDS)
     if unknown:
         raise ParseError(f"unknown fields {sorted(unknown)}", path)
-    for req in ("kind", "in_channels", "out_channels"):
-        if req not in obj:
-            raise ParseError(f"missing field {req!r}", path)
     try:
-        kind = OpKind(obj["kind"])
+        kind = OpKind(field(obj, "kind", str, path))
     except ValueError:
         raise ParseError(f"unknown operator kind {obj['kind']!r}", path)
-    def _int(name, default):
-        v = obj.get(name, default)
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ParseError(f"field {name!r} must be an integer, got {v!r}", path)
-        return v
-    slope = obj.get("activation_slope", 0.0)
-    try:
-        slope = float(slope)
-    except (TypeError, ValueError):
-        raise ParseError(f"field 'activation_slope' must be a number, got {slope!r}", path)
     op = OperatorSpec(
         kind=kind,
-        in_channels=_int("in_channels", None),
-        out_channels=_int("out_channels", None),
-        kernel=_int("kernel", 1),
-        stride=_int("stride", 1),
+        in_channels=field(obj, "in_channels", int, path),
+        out_channels=field(obj, "out_channels", int, path),
+        kernel=field(obj, "kernel", int, path, default=1),
+        stride=field(obj, "stride", int, path, default=1),
         expand_ratio=_parse_fraction(obj.get("expand_ratio", 1), path),
-        activation_slope=slope,
-        scale_factor=_int("scale_factor", 1),
+        activation_slope=float(field(obj, "activation_slope", float, path, default=0.0)),
+        scale_factor=field(obj, "scale_factor", int, path, default=1),
     )
     try:
         op.validate_fields()
@@ -435,34 +418,48 @@ def serialize(net: Net) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _build_supernet(doc) -> SuperNet:
-    allowed = {"task", "input_shape", "stem", "stages", "head", "num_classes", "sr_scale"}
+def _ops(doc, name: str, path: str) -> list:
+    """The operators of list field `name`; an absent field is an empty list."""
+    return [_op_from_json(o, f"{path}[{i}]")
+            for i, o in enumerate(field(doc, name, list, path, default=[]))]
+
+
+def _ints(doc, name: str) -> tuple:
+    values = field(doc, name, list, name, default=[])
+    if not all(type(v) is int for v in values):
+        raise ParseError(f"must be a list of integers, got {values!r:.80}", name)
+    return tuple(values)
+
+
+def _common_fields(doc, allowed: set) -> dict:
+    """The task, input_shape, num_classes and sr_scale of a net document."""
     unknown = set(doc) - allowed
     if unknown:
         raise ParseError(f"unknown fields {sorted(unknown)}", "$")
-    for req in ("task", "input_shape", "stages"):
-        if req not in doc:
-            raise ParseError(f"missing field {req!r}", "$")
     try:
-        task = Task(doc["task"])
+        task = Task(field(doc, "task", str, "$"))
     except ValueError:
         raise ParseError(f"unknown task {doc['task']!r}", "task")
-    input_shape = _shape_from_json(doc["input_shape"], "input_shape")
-    stem = [_op_from_json(o, f"stem[{i}]") for i, o in enumerate(doc.get("stem", []))]
-    head = [_op_from_json(o, f"head[{i}]") for i, o in enumerate(doc.get("head", []))]
-    if not isinstance(doc["stages"], list):
-        raise ParseError("stages must be a list", "stages")
+    return {"task": task,
+            "input_shape": _shape_from_json(field(doc, "input_shape", list, "$"), "input_shape"),
+            "num_classes": field(doc, "num_classes", (int, type(None)), "$", default=None),
+            "sr_scale": field(doc, "sr_scale", (int, type(None)), "$", default=None)}
+
+
+def _build_supernet(doc) -> SuperNet:
+    common = _common_fields(
+        doc, {"task", "input_shape", "stem", "stages", "head", "num_classes", "sr_scale"})
+    stem, head = _ops(doc, "stem", "stem"), _ops(doc, "head", "head")
 
     # Stage input/output shapes are reconstructed by chaining through the file.
-    cur = input_shape
+    cur = common["input_shape"]
     for op in stem:
         cur = output_shape(op, cur)
     stages = []
-    for i, sobj in enumerate(doc["stages"]):
+    for i, sobj in enumerate(field(doc, "stages", list, "$")):
         if not isinstance(sobj, dict) or set(sobj) != {"candidates"}:
             raise ParseError("stage must be {'candidates': [...]}", f"stages[{i}]")
-        cands = [_op_from_json(o, f"stages[{i}].candidates[{j}]")
-                 for j, o in enumerate(sobj["candidates"])]
+        cands = _ops(sobj, "candidates", f"stages[{i}].candidates")
         if not cands:
             raise ParseError("stage has no candidates", f"stages[{i}]")
         try:
@@ -471,37 +468,20 @@ def _build_supernet(doc) -> SuperNet:
             raise ParseError(str(e), f"stages[{i}].candidates[0]")
         stages.append(MixedStage(tuple(cands), cur, out))
         cur = out
-    return SuperNet(task=task, input_shape=input_shape, stem=tuple(stem),
-                    stages=tuple(stages), head=tuple(head),
-                    num_classes=doc.get("num_classes"), sr_scale=doc.get("sr_scale"))
+    return SuperNet(stem=stem, stages=stages, head=head, **common)
 
 
 def _build_compactnet(doc) -> CompactNet:
-    allowed = {"task", "input_shape", "layers", "num_classes", "sr_scale",
-               "chosen_indices", "tie_stages"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ParseError(f"unknown fields {sorted(unknown)}", "$")
-    try:
-        task = Task(doc["task"])
-    except (KeyError, ValueError):
-        raise ParseError("missing or unknown task", "task")
-    input_shape = _shape_from_json(doc.get("input_shape"), "input_shape")
-    layers = [_op_from_json(o, f"layers[{i}]") for i, o in enumerate(doc["layers"])]
-    return CompactNet(task=task, input_shape=input_shape, layers=tuple(layers),
-                      num_classes=doc.get("num_classes"), sr_scale=doc.get("sr_scale"),
-                      chosen_indices=tuple(doc.get("chosen_indices", [])),
-                      tie_stages=tuple(doc.get("tie_stages", [])))
+    common = _common_fields(doc, {"task", "input_shape", "layers", "num_classes", "sr_scale",
+                                  "chosen_indices", "tie_stages"})
+    return CompactNet(layers=_ops(doc, "layers", "layers"),
+                      chosen_indices=_ints(doc, "chosen_indices"),
+                      tie_stages=_ints(doc, "tie_stages"), **common)
 
 
 def deserialize(text: str) -> Net:
     """JSON text -> SuperNet (has 'stages') or CompactNet (has 'layers')."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}", "$")
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object", "$")
+    doc = loads_object(text, "$")
     if "stages" in doc:
         return _build_supernet(doc)
     if "layers" in doc:
@@ -510,8 +490,7 @@ def deserialize(text: str) -> Net:
 
 
 def load_net(path) -> Net:
-    with open(path, "r", encoding="utf-8") as fh:
-        return deserialize(fh.read())
+    return deserialize(read_text(path))
 
 
 def save_net(net: Net, path) -> None:

@@ -8,14 +8,14 @@ execution — a documented modeling limitation. Everything here is pure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, MissingEntry, NotNormalized, ParseError
+from .errors import LengthMismatch, MissingEntry, NotNormalized
 from .graph import CompactNet, OperatorSpec, SuperNet, TensorShape, canonical_key, walk
+from .jsonio import field, from_fields, read_object, write_object
 
 DEFAULT_CLOCK_GHZ = 0.7  # cycles <-> ms conversion when a table comes from a cost model
 
@@ -132,28 +132,11 @@ def save_lut(lut: LatencyTable, path) -> None:
                      "created": lut.created, "incomplete": lut.incomplete},
         "entries": dict(sorted(lut.entries.items())),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_object(path, doc, indent=2)
 
 
 def load_lut(path) -> LatencyTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e}", str(path))
-    if not isinstance(doc, dict) or "entries" not in doc:
-        raise ParseError("LUT file must contain 'entries'", str(path))
-    meta = doc.get("metadata", {})
-    entries = {}
-    for key, v in doc["entries"].items():
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-            raise ParseError(f"bad latency for {key!r}: {v!r}", str(path))
-        entries[key] = float(v)
-    try:
-        return LatencyTable(entries=entries, source=meta.get("source", "Manual"),
-                            device=meta.get("device", ""), created=meta.get("created", ""),
-                            incomplete=bool(meta.get("incomplete", False)))
-    except ValueError as e:
-        raise ParseError(str(e), str(path))
+    doc = read_object(path)
+    entries = field(doc, "entries", dict, path)
+    return from_fields(LatencyTable, field(doc, "metadata", dict, path, default={}) | {
+        "entries": {key: float(field(entries, key, float, path)) for key in entries}}, path)

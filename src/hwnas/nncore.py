@@ -14,7 +14,6 @@ reproducible; tests/test_kernels.py holds that reference.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -22,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError, ShapeMismatch, StaleState
 from .graph import OperatorSpec, OpKind, TensorShape, output_shape
+from .jsonio import array_from_json, array_to_json, field, read_object, write_object
 
 CHECKPOINT_VERSION = 1
 
@@ -514,24 +514,16 @@ def grad_check(instance: ModuleInstance, input_shape: TensorShape,
 
 def save_checkpoint(named_params: dict, path) -> None:
     doc = {"version": CHECKPOINT_VERSION,
-           "params": {name: {"dims": list(p.value.shape),
-                             "data": p.value.reshape(-1).tolist()}
-                      for name, p in named_params.items()}}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+           "params": {name: array_to_json(p.value) for name, p in named_params.items()}}
+    write_object(path, doc)
 
 
 def load_checkpoint(named_params: dict, path) -> None:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_object(path)
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {doc.get('version')!r}", str(path))
-    stored = doc["params"]
+    stored = field(doc, "params", dict, path)
     if set(stored) != set(named_params):
         raise ParseError("checkpoint parameter names do not match model", str(path))
     for name, p in named_params.items():
-        arr = np.asarray(stored[name]["data"], dtype=np.float64)
-        dims = tuple(stored[name]["dims"])
-        if tuple(p.value.shape) != dims:
-            raise ParseError(f"shape mismatch for {name}", str(path))
-        p.value[...] = arr.reshape(dims)
+        p.value[...] = array_from_json(stored[name], p.value.shape, f"{path}: {name}")

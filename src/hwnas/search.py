@@ -11,12 +11,11 @@ the expected-latency regularizer.
 from __future__ import annotations
 
 import io
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteLoss, NotNormalized, ParseError
+from .errors import LengthMismatch, NonFiniteLoss, NotNormalized
 from .graph import CompactNet, SuperNet, Task, walk
 from .latency import (LatencyTable, expected_network_latency, fixed_latency,
                       latency_alpha_grad, stage_latency_vectors)
@@ -79,9 +78,6 @@ class ArchParams:
         object.__setattr__(self, "vectors", tuple(np.asarray(v, dtype=np.float64)
                                                   for v in self.vectors))
 
-    def probs(self) -> list:
-        return [path_probs(v) for v in self.vectors]
-
 
 @dataclass
 class SearchConfig:
@@ -94,7 +90,6 @@ class SearchConfig:
     rounds: int = 30
     batch_size: int = 16
     seed: int = 0
-    latency_source: str = ""
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -106,24 +101,6 @@ class SearchConfig:
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
 
-    @staticmethod
-    def load(path) -> "SearchConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"invalid JSON: {e}", str(path))
-        known = {f for f in SearchConfig.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ParseError(f"unknown fields {sorted(unknown)}", str(path))
-        return SearchConfig(**doc)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2)
-            fh.write("\n")
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -132,7 +109,6 @@ class RoundRecord:
     val_loss: float
     e_latency_ms: float
     probs: tuple          # per-stage tuples of p values
-    chosen: tuple         # argmax candidate index per stage
 
 @dataclass
 class SearchHistory:
@@ -310,8 +286,7 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
             train_loss=float(np.mean(train_losses)),
             val_loss=float(np.mean(val_losses)),
             e_latency_ms=e_lat,
-            probs=tuple(tuple(float(v) for v in p) for p in probs),
-            chosen=tuple(int(np.argmax(a)) for a in alphas)))
+            probs=tuple(tuple(float(v) for v in p) for p in probs)))
 
     return SearchState(model=model, arch=ArchParams(tuple(alphas))), history
 

@@ -1,12 +1,15 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hwnas
+from hwnas import costmodel
 from hwnas.cli import main
 from hwnas.errors import DeviceError
 from hwnas.graph import (CompactNet, OperatorSpec, OpKind, Task, TensorShape,
@@ -103,6 +106,34 @@ for _kind, _field, _value in [("sim", "clock_ghz", 0), ("sim", "macs_per_cycle",
                            "--device", "{file}", "--out", "{tmp}/l.lut.json"])
 
 
+TINY_NET = {"task": "Classification", "input_shape": [2, 2, 2], "num_classes": 2,
+            "layers": [{"kind": "Linear", "in_channels": 8, "out_channels": 2}]}
+EMPTY_LUT = {"metadata": {"source": "Manual"}, "entries": {}}
+LINT = ["lint", "--net", "{file}"]
+FROM_MODEL = ["lut", "from-model", "--net", "toy-classification", "--model", "{file}",
+              "--out", "{tmp}/p.lut.json"]
+CALIBRATE = ["calibrate", "--net", "toy-classification", "--lut", "{file}",
+             "--out-prefix", "{tmp}/cal/c"]
+
+# Valid JSON of the wrong shape, one file each.
+MALFORMED.update({
+    "model-not-an-object": ("m.json", [1], FROM_MODEL),
+    "model-without-w1": ("m.json", {"version": 1}, FROM_MODEL),
+    "lut-entries-a-list": ("t.lut.json", {"entries": []}, CALIBRATE),
+    "lut-metadata-a-number": ("t.lut.json", {"metadata": 5, "entries": {}}, CALIBRATE),
+    "records-line-a-number": ("r.records.jsonl", 5,
+                              ["costmodel", "train", "--records", "{file}",
+                               "--out", "{tmp}/m.json"]),
+    "net-layers-a-number": ("c.net.json", dict(TINY_NET, layers=5), LINT),
+    "net-candidates-a-number": ("s.net.json", {"task": "Classification",
+                                               "input_shape": [3, 8, 8], "num_classes": 2,
+                                               "stages": [{"candidates": 5}]}, LINT),
+    "arch-alphas-not-lists": ("arch.json", {"alphas": [5, 5, 5]},
+                              ["derive", "--net", "toy-classification", "--arch", "{file}",
+                               "--out", "{tmp}/c.net.json"]),
+})
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exit_1_without_traceback(case, tmp_path):
     name, doc, argv = MALFORMED[case]
@@ -115,6 +146,116 @@ def test_malformed_input_exit_1_without_traceback(case, tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def _checkpoint(weight) -> dict:
+    return {"version": 1, "params": {"layers.0.weight": weight,
+                                     "layers.0.bias": {"dims": [2], "data": [0.0, 0.0]}}}
+
+
+EVAL = ["eval", "--net", "{tmp}/c.net.json", "--checkpoint", "{tmp}/w.json"]
+SEARCH_CONFIG = ["search", "run", "--net", "toy-classification", "--lut", "{tmp}/t.lut.json",
+                 "--config", "{tmp}/s.json", "--out-dir", "{tmp}/run"]
+
+
+def _json(doc) -> bytes:
+    return json.dumps(doc).encode()
+
+
+# Inputs that `MALFORMED` cannot hold: raw bytes, companion files, a directory.
+MALFORMED_FILES = {
+    "model-invalid-json": ({"m.json": b'{"version": 1,'},
+                           [a.replace("{file}", "{tmp}/m.json") for a in FROM_MODEL]),
+    "checkpoint-invalid-json": ({"c.net.json": _json(TINY_NET), "w.json": b"{"}, EVAL),
+    "checkpoint-not-an-object": ({"c.net.json": _json(TINY_NET), "w.json": b"[]"}, EVAL),
+    "checkpoint-without-params": ({"c.net.json": _json(TINY_NET),
+                                   "w.json": _json({"version": 1})}, EVAL),
+    "checkpoint-data-not-a-list": ({"c.net.json": _json(TINY_NET),
+                                    "w.json": _json(_checkpoint({"dims": [2, 8], "data": "x"}))},
+                                   EVAL),
+    "checkpoint-entry-without-data": ({"c.net.json": _json(TINY_NET),
+                                       "w.json": _json(_checkpoint({"dims": [2, 8]}))}, EVAL),
+    "search-config-rounds-not-an-int": ({"t.lut.json": _json(EMPTY_LUT),
+                                         "s.json": _json({"rounds": "x"})}, SEARCH_CONFIG),
+    "search-config-rounds-negative": ({"t.lut.json": _json(EMPTY_LUT),
+                                       "s.json": _json({"rounds": -1})}, SEARCH_CONFIG),
+    "net-random-bytes": ({"c.net.json": random.Random(0).randbytes(256)},
+                         ["lint", "--net", "{tmp}/c.net.json"]),
+    "records-a-directory": ({}, ["costmodel", "train", "--records", "{tmp}",
+                                 "--out", "{tmp}/m.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_exit_1_without_traceback(case, tmp_path):
+    files, argv = MALFORMED_FILES[case]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(hwnas.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hwnas.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+FLAG_COMMANDS = {
+    "lut build": ["lut", "build", "--net", "toy-classification", "--out", "{tmp}/o.lut.json"],
+    "lut from-model": ["lut", "from-model", "--net", "toy-classification",
+                       "--model", "{tmp}/m.json", "--out", "{tmp}/o.lut.json"],
+    "costmodel train": ["costmodel", "train", "--simulate", "60", "--out", "{tmp}/n.json"],
+    "search run": ["search", "run", "--net", "toy-classification", "--lut", "{tmp}/t.lut.json",
+                   "--rounds", "1", "--out-dir", "{tmp}/run"],
+    "train-compact": ["train-compact", "--net", "{tmp}/c.net.json", "--steps", "2",
+                      "--out", "{tmp}/w.json"],
+    "calibrate": ["calibrate", "--net", "toy-classification", "--lut", "{tmp}/t.lut.json",
+                  "--out-prefix", "{tmp}/cal/c"],
+}
+
+OUT_OF_RANGE_FLAGS = [
+    ("lut build", "--stack-n", "0"), ("lut build", "--stack-n", "-3"),
+    ("lut build", "--trials", "0"), ("lut from-model", "--clock-ghz", "0"),
+    ("costmodel train", "--epochs", "0"), ("costmodel train", "--clock-ghz", "0"),
+    ("search run", "--rounds", "-1"), ("search run", "--batch-size", "0"),
+    ("search run", "--weight-steps", "0"), ("search run", "--arch-steps", "0"),
+    ("search run", "--lr-weights", "0"), ("search run", "--lr-arch", "0"),
+    ("search run", "--lambda1", "-1"), ("search run", "--lambda2", "-1"),
+    ("search run", "--lambda2", "nan"), ("search run", "--data-samples", "6"),
+    ("train-compact", "--batch-size", "0"), ("train-compact", "--data-samples", "0"),
+    ("train-compact", "--data-size", "0"), ("train-compact", "--data-classes", "1"),
+    ("calibrate", "--samples", "0"), ("calibrate", "--trials", "0"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", OUT_OF_RANGE_FLAGS,
+                         ids=[f"{c}{f}={v}" for c, f, v in OUT_OF_RANGE_FLAGS])
+def test_out_of_range_flag_exit_2(command, flag, value, tmp_path, capsys):
+    """A value below the flag's lower bound is an argument error, raised
+    before any input is read. Without the bounds these end in a traceback,
+    an unrelated error or (calibrate --samples 0) a NaN MAPE."""
+    (tmp_path / "c.net.json").write_text(json.dumps(TINY_NET))
+    (tmp_path / "t.lut.json").write_text(json.dumps(EMPTY_LUT))
+    h, d = 64, costmodel.FEATURE_DIM
+    costmodel.save_model(costmodel.CostModel(
+        w1=np.zeros((h, d)), b1=np.zeros(h), w2=np.zeros((h, h)), b2=np.zeros(h),
+        w3=np.zeros(h), b3=0.0, feat_mean=np.zeros(d), feat_std=np.ones(d)),
+        tmp_path / "m.json")
+    argv = [a.format(tmp=tmp_path) for a in FLAG_COMMANDS[command]] + [flag, value]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_costmodel_overflow_is_nonfinite_loss(tmp_path, capsys):
+    """A learning rate that blows the weights up without a non-finite loss
+    still saves no model: its MAPE overflows."""
+    out = tmp_path / "cost.model.json"
+    assert run_cli("costmodel", "train", "--simulate", "200", "--epochs", "100",
+                   "--seed", "3", "--lr", "1e30", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: cost-model predictions overflow")
+    assert not out.exists()
 
 
 def test_argument_errors_exit_2():
