@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default="sim")
     p.add_argument("--clock-ghz", type=_lower_bound(0.0, strict=True), default=DEFAULT_CLOCK_GHZ)
     p.add_argument("--epochs", type=_lower_bound(1), default=3000)
-    p.add_argument("--lr", type=float, default=5e-3)
+    p.add_argument("--lr", type=_lower_bound(0.0, strict=True), default=5e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_costmodel_train)
@@ -469,10 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-compact")
     p.add_argument("--net", required=True)
-    p.add_argument("--steps", type=int, default=300)
+    p.add_argument("--steps", type=_lower_bound(1), default=300)
     p.add_argument("--batch-size", type=_lower_bound(1), default=32)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--weight-decay", type=float, default=0.0)
+    p.add_argument("--lr", type=_lower_bound(0.0, strict=True), default=0.05)
+    p.add_argument("--weight-decay", type=_lower_bound(0.0), default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_dataset_args(p)
@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lint")
     p.add_argument("--net", required=True)
     p.add_argument("--strict-leaky", action="store_true")
-    p.add_argument("--streaming-threshold", type=int,
+    p.add_argument("--streaming-threshold", type=_lower_bound(0),
                    default=lint.DEFAULT_STREAMING_THRESHOLD_BYTES)
     p.add_argument("--out", help="write findings JSON here")
     p.add_argument("--exit-zero", action="store_true",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, InsufficientData, NonFiniteLoss, ParseError
+from .errors import EmptySet, HwnasError, InsufficientData, NonFiniteLoss, ParseError
 from .graph import (OperatorSpec, OpKind, SuperNet, TensorShape, _op_from_json, _op_to_json,
                     _shape_from_json, output_shape)
 from .jsonio import (array_from_json, array_to_json, field, loads_object, read_object,
@@ -267,14 +267,22 @@ def evaluate_mape(model: CostModel, records) -> float:
 
 def lut_from_model(model: CostModel, supernet: SuperNet,
                    clock_ghz: float = DEFAULT_CLOCK_GHZ) -> LatencyTable:
-    """Predict every unique search-space key; cycles -> ms via the clock."""
+    """Predict every unique search-space key; cycles -> ms via the clock.
+
+    A model whose prediction for a key is not finite (an overflowing bias, a
+    zero feature scale) is an HwnasError that names the key.
+    """
     entries = {}
     for key, op, shape in enumerate_search_space(supernet):
         if op.kind is OpKind.Identity:
             # identities compile away; they never appear in profile records
             entries[key] = 0.0
-        else:
-            entries[key] = predict(model, op, shape) / (clock_ghz * 1e6)
+            continue
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ms = predict(model, op, shape) / (clock_ghz * 1e6)
+        if not math.isfinite(ms):
+            raise HwnasError(f"cost model predicts a non-finite latency ({ms}) for {key!r}")
+        entries[key] = ms
     return LatencyTable(entries=entries, source="CostModel",
                         device=f"costmodel@{clock_ghz}GHz")
 

@@ -6,10 +6,14 @@ gradient checker. Desk-scale only.
 
 A backward pass computes only what its caller reads: it can skip the input
 gradient (the first layer of a net) or the parameter gradients (architecture
-steps, where weights are frozen). Every value it does compute is bitwise
-equal to the plain einsum formulation (sliding windows, one einsum per
-product, window gradients scattered in i-then-j order), so seeded runs stay
-reproducible; tests/test_kernels.py holds that reference.
+steps, where weights are frozen). Stride-1 Conv, DWConv and PointwiseConv
+build their forward window matrix from flat runs of whole maps, one copy per
+window offset, and every window-gradient scatter (those three, strided convs
+and the pools) adds flat runs the same way (see the window helpers). Every
+value a kernel computes, and the memory layout of its output and input
+gradient, is bitwise equal to the plain einsum formulation (sliding windows,
+one einsum per product, window gradients scattered in i-then-j order), so
+seeded runs stay reproducible; tests/test_kernels.py holds that reference.
 """
 
 from __future__ import annotations
@@ -45,35 +49,103 @@ def _kaiming_uniform(shape, fan_in, rng):
 
 
 # ---------------------------------------------------------------------------
-# im2col helpers shared by conv / depthwise / pooling
+# Window helpers shared by conv / depthwise / pooling
 # ---------------------------------------------------------------------------
 
 def _windows(x, k, stride, pad, pad_value=0.0):
     """[B,C,H,W] -> sliding windows [B,C,Ho,Wo,k,k] over padded input."""
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=pad_value)
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win, xp.shape
+    return sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
 
 
-def _scatter_windows(window_grad, padded_shape, k, stride, pad, channel_major=False):
-    """Adjoint of _windows: [B,C,H,W] sum of window_grad(i, j), the [B,C,Ho,Wo]
-    gradient at window offset (i, j), added in i-then-j order.
+# Stride-1 windows over flat runs. Every spatial op pads by p = (k-1)//2.
+# The [H,W] maps that follow one index of the leading axis (a channel of the
+# window matrix, a channel or a sample of the scatter) are stored back to
+# back as one flat run, with p*W + p zeros at each end and no padding rows or
+# columns. Window offset (i, j) of every output pixel is then the flat shift
+# i*W + j, so one copy or add moves a whole run. A shift makes the taps that
+# fall in the padding read or write the neighbouring row or map instead:
+# |i - p| rows at the top or bottom of each map and |j - p| columns at its
+# left or right. Those entries are set to +0.0.
 
-    With `channel_major`, window_grad yields [C,B,Ho,Wo] and the sum runs in a
-    [C,B,Hp,Wp] buffer that one contiguous transpose returns to [B,C,Hp,Wp].
-    Either way the result is a crop of a [B,C,Hp,Wp]-contiguous buffer, so
-    reductions over it sum in the same order.
+def _edge(d, n):
+    """The output rows (columns) of an n-long axis whose tap at shift d = i - p
+    (j - p) falls in the padding."""
+    return slice(0, -d) if d < 0 else slice(max(n - d, 0), n)
+
+
+def _zero_padding_taps(a, i, j, k):
+    """Zero the entries of the [..., H, W] slab `a` of offset (i, j) whose tap
+    lies in the padding."""
+    p = (k - 1) // 2
+    if i != p:
+        a[..., _edge(i - p, a.shape[-2]), :] = 0.0
+    if j != p:
+        a[..., _edge(j - p, a.shape[-1])] = 0.0
+
+
+def _flat_runs(shape, k):
+    """Zeroed [A, M*H*W + 2(p*W + p)] runs for maps of shape [A, M, H, W], and
+    the slice of the maps in each run."""
+    a, m, h, w = shape
+    p, n = (k - 1) // 2, m * h * w
+    return np.zeros((a, n + 2 * (p * w + p))), slice(p * w + p, p * w + p + n)
+
+
+def _window_matrix(x, k):
+    """[B,C,H,W] -> the stride-1 window matrix [C,k,k,B,H*W], zero padded.
+
+    Equal, value for value, to _windows(x, k, 1, p) moved to (c, i, j, b, h, w)
+    order, the matrix einsum copies out of the window view.
     """
-    b, c, hp, wp = padded_shape
-    dxp = np.zeros((c, b, hp, wp) if channel_major else padded_shape)
-    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    b, c, h, w = x.shape
+    runs, maps = _flat_runs((c, b, h, w), k)
+    runs[:, maps].reshape(c, b, h, w)[...] = x.transpose(1, 0, 2, 3)
+    n = b * h * w
+    cols = np.empty((c, k, k, n))
+    grid = cols.reshape(c, k, k, b, h, w)
     for i in range(k):
         for j in range(k):
-            dxp[:, :, i:i + (ho - 1) * stride + 1:stride,
-                j:j + (wo - 1) * stride + 1:stride] += window_grad(i, j)
+            cols[:, i, j] = runs[:, i * w + j:i * w + j + n]
+            _zero_padding_taps(grid[:, i, j], i, j, k)
+    return cols
+
+
+def _scatter_windows(window_grad, shape, k, stride, channel_major=False):
+    """Adjoint of the window gather: the [B,C,H,W] sum, in i-then-j order, of
+    window_grad(i, j), the [B,C,Ho,Wo] gradient at window offset (i, j)
+    ([C,B,...] in `shape` and window_grad with `channel_major`).
+
+    Each offset is one add of flat runs. Its padding taps are zeroed in the
+    window gradient first, so window_grad must return an array this function
+    may overwrite. A stride-s gradient is first spread over a zeroed
+    [...,H,W] slab, since output (y, x) at stride s is stride-1 output
+    (s*y, s*x). Every add the reference does not make adds +0.0, and the
+    sums start at +0.0 and so never hold -0.0: each such add leaves the sum
+    bitwise unchanged. The result is copied into the crop of a
+    [B,C,H+2p,W+2p] buffer, the reference layout, so that reductions over it
+    sum in the same order.
+    """
+    a, m, h, w = shape
+    acc, maps = _flat_runs(shape, k)
+    n = m * h * w
+    for i in range(k):
+        for j in range(k):
+            slab = window_grad(i, j)
+            if stride > 1:
+                spread = np.zeros(shape)
+                spread[..., ::stride, ::stride] = slab
+                slab = spread
+            _zero_padding_taps(slab, i, j, k)
+            acc[:, i * w + j:i * w + j + n] += slab.reshape(a, n)
+    dx = acc[:, maps].reshape(shape)
     if channel_major:
-        dxp = np.ascontiguousarray(dxp.transpose(1, 0, 2, 3))
-    return dxp[:, :, pad:hp - pad, pad:wp - pad]
+        dx = dx.transpose(1, 0, 2, 3)
+    p = (k - 1) // 2
+    buf = np.empty(dx.shape[:2] + (h + 2 * p, w + 2 * p))
+    crop = buf[:, :, p:p + h, p:p + w]
+    crop[...] = dx
+    return crop
 
 
 def _bilinear_matrix(out_size, in_size, scale):
@@ -95,43 +167,57 @@ def _bilinear_matrix(out_size, in_size, scale):
 # ---------------------------------------------------------------------------
 
 def _conv_forward(x, w, b, stride, pad):
-    win, padded = _windows(x, w.shape[-1], stride, pad)
-    out = np.einsum("bchwij,ocij->bohw", win, w, optimize=True) + b[None, :, None, None]
-    return out, (win, padded)
+    o, c, k = w.shape[0], w.shape[1], w.shape[-1]
+    if stride == 1:
+        # the matmul einsum makes, on equal operands, so equal bit for bit
+        n, _, h, ww = x.shape
+        cols = _window_matrix(x, k).reshape(c * k * k, n * h * ww)
+        out = (w.reshape(o, c * k * k) @ cols).reshape(o, n, h, ww).transpose(1, 0, 2, 3)
+    else:
+        out = np.einsum("bchwij,ocij->bohw", _windows(x, k, stride, pad), w, optimize=True)
+    return out + b[None, :, None, None]
 
-def _conv_backward(g, w, cache, stride, pad, input_grad, param_grads):
+def _conv_backward(g, w, x, stride, pad, input_grad, param_grads):
     """(dx, dw, db); dx is None without input_grad, dw and db without param_grads."""
-    win, padded = cache
+    k = w.shape[-1]
     dx = dw = db = None
     if param_grads:
-        dw = np.einsum("bchwij,bohw->ocij", win, g, optimize=True)
+        dw = np.einsum("bchwij,bohw->ocij", _windows(x, k, stride, pad), g, optimize=True)
         db = g.sum(axis=(0, 2, 3))
     if input_grad:
-        # channel-major, so each window offset's slab t[:, i, j] is contiguous
+        # channel-major, so each window offset's slab t[:, i, j] is one
+        # contiguous [B,H,W] run per channel
         t = np.einsum("bohw,ocij->cijbhw", g, w, optimize=True)
-        dx = _scatter_windows(lambda i, j: t[:, i, j], padded, w.shape[-1],
-                              stride, pad, channel_major=True)
+        n, c, h, ww = x.shape
+        dx = _scatter_windows(lambda i, j: t[:, i, j], (c, n, h, ww), k, stride,
+                              channel_major=True)
     return dx, dw, db
 
 
 def _dwconv_forward(x, w, b, stride, pad):
-    win, padded = _windows(x, w.shape[-1], stride, pad)
-    out = np.einsum("bchwij,cij->bchw", win, w, optimize=True) + b[None, :, None, None]
-    return out, (win, padded)
+    c, k = w.shape[0], w.shape[-1]
+    if stride == 1:
+        # the batched matmul einsum makes, on equal operands
+        n, _, h, ww = x.shape
+        cols = _window_matrix(x, k).reshape(c, k * k, n * h * ww)
+        out = (w.reshape(c, 1, k * k) @ cols).reshape(c, n, h, ww).transpose(1, 0, 2, 3)
+    else:
+        out = np.einsum("bchwij,cij->bchw", _windows(x, k, stride, pad), w, optimize=True)
+    return out + b[None, :, None, None]
 
-def _dwconv_backward(g, w, cache, stride, pad, input_grad, param_grads):
+def _dwconv_backward(g, w, x, stride, pad, input_grad, param_grads):
     """(dx, dw, db); dx is None without input_grad, dw and db without param_grads."""
-    win, padded = cache
     c, k = w.shape[0], w.shape[-1]
     dx = dw = db = None
     if param_grads:
         # per channel: g [1, B*Ho*Wo] @ windows [B*Ho*Wo, k*k]
+        win = _windows(x, k, stride, pad)
         cols = win.transpose(1, 0, 2, 3, 4, 5).reshape(c, -1, k * k)
         dw = (g.transpose(1, 0, 2, 3).reshape(c, 1, -1) @ cols).reshape(w.shape)
         db = g.sum(axis=(0, 2, 3))
     if input_grad:
         dx = _scatter_windows(lambda i, j: g * w[None, :, i, j, None, None],
-                              padded, k, stride, pad)
+                              x.shape, k, stride)
     return dx, dw, db
 
 
@@ -220,27 +306,23 @@ class ModuleInstance:
         elif k in (OpKind.ReLU, OpKind.LeakyReLU):
             out, mask = _relu_forward(x, s.activation_slope)
             self._cache = (mask,)
-        elif k in (OpKind.Conv, OpKind.PointwiseConv):
-            out, c = _conv_forward(x, self.params["weight"].value,
-                                   self.params["bias"].value, s.stride, s.padding)
-            self._cache = (c,)
-        elif k is OpKind.DWConv:
-            out, c = _dwconv_forward(x, self.params["weight"].value,
-                                     self.params["bias"].value, s.stride, s.padding)
-            self._cache = (c,)
+        elif k in (OpKind.Conv, OpKind.PointwiseConv, OpKind.DWConv):
+            kernel_forward = _dwconv_forward if k is OpKind.DWConv else _conv_forward
+            out = kernel_forward(x, self.params["weight"].value,
+                                 self.params["bias"].value, s.stride, s.padding)
+            self._cache = (x,)
         elif k is OpKind.MBConv:
             out = self._mbconv_forward(x)
         elif k is OpKind.AvgPool:
-            win, padded = _windows(x, s.kernel, s.stride, s.padding)
-            out = win.mean(axis=(-1, -2))
-            self._cache = (padded,)
+            out = _windows(x, s.kernel, s.stride, s.padding).mean(axis=(-1, -2))
+            self._cache = (x.shape,)
         elif k is OpKind.MaxPool:
             # -inf padding: a border window's max comes from the input alone
-            win, padded = _windows(x, s.kernel, s.stride, s.padding, -np.inf)
+            win = _windows(x, s.kernel, s.stride, s.padding, -np.inf)
             flat = win.reshape(win.shape[:4] + (s.kernel * s.kernel,))
             idx = flat.argmax(axis=-1)
             out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-            self._cache = (padded, idx)
+            self._cache = (x.shape, idx)
         elif k is OpKind.UpsampleNearest:
             r = s.scale_factor
             up = x.repeat(r, axis=2).repeat(r, axis=3)
@@ -337,13 +419,15 @@ class ModuleInstance:
             return d + g if residual and input_grad else d
         if k is OpKind.AvgPool:
             gk = g / (s.kernel * s.kernel)
-            return _scatter_windows(lambda i, j: gk, cache[0], s.kernel, s.stride, s.padding)
+            # the scatter zeroes each slab's padding taps: one copy per offset
+            return _scatter_windows(lambda i, j: gk.copy(), cache[0], s.kernel, s.stride)
         if k is OpKind.MaxPool:
-            padded, idx = cache
-            t = np.zeros(g.shape + (s.kernel * s.kernel,))
-            np.put_along_axis(t, idx[..., None], g[..., None], axis=-1)
-            return _scatter_windows(lambda i, j: t[..., i * s.kernel + j], padded,
-                                    s.kernel, s.stride, s.padding)
+            shape, idx = cache
+            # offset-major, so each offset's slab t[i*k + j] is contiguous
+            t = np.zeros((s.kernel * s.kernel,) + g.shape)
+            np.put_along_axis(t, idx[None], g[None], axis=0)
+            return _scatter_windows(lambda i, j: t[i * s.kernel + j], shape,
+                                    s.kernel, s.stride)
         if k in (OpKind.UpsampleNearest, OpKind.UpsampleBilinear):
             dup = self._unproject(g, cache, input_grad, param_grads)
             if dup is None:

@@ -14,6 +14,7 @@ from hwnas.cli import main
 from hwnas.errors import DeviceError
 from hwnas.graph import (CompactNet, OperatorSpec, OpKind, Task, TensorShape,
                          save_net)
+from hwnas.jsonio import array_to_json
 from hwnas.latency import LatencyTable, load_lut, save_lut
 from hwnas.profiler import ExternalCommandRunner
 
@@ -115,10 +116,25 @@ FROM_MODEL = ["lut", "from-model", "--net", "toy-classification", "--model", "{f
 CALIBRATE = ["calibrate", "--net", "toy-classification", "--lut", "{file}",
              "--out-prefix", "{tmp}/cal/c"]
 
+
+
+def _model_doc(b3=0.0, feat_std=1.0) -> dict:
+    """A cost-model file that loads; with zero weights it predicts exp(b3)."""
+    (h1, h2), d = costmodel.HIDDEN, costmodel.FEATURE_DIM
+    arrays = {"w1": np.zeros((h1, d)), "b1": np.zeros(h1), "w2": np.zeros((h2, h1)),
+              "b2": np.zeros(h2), "w3": np.zeros(h2), "feat_mean": np.zeros(d),
+              "feat_std": np.full(d, feat_std)}
+    return {"version": costmodel.MODEL_VERSION, "b3": b3,
+            **{name: array_to_json(a) for name, a in arrays.items()}}
+
+
 # Valid JSON of the wrong shape, one file each.
 MALFORMED.update({
     "model-not-an-object": ("m.json", [1], FROM_MODEL),
     "model-without-w1": ("m.json", {"version": 1}, FROM_MODEL),
+    # loadable models whose predictions are not finite
+    "model-b3-overflows": ("m.json", _model_doc(b3=1e300), FROM_MODEL),
+    "model-feat-std-zero": ("m.json", _model_doc(feat_std=0.0), FROM_MODEL),
     "lut-entries-a-list": ("t.lut.json", {"entries": []}, CALIBRATE),
     "lut-metadata-a-number": ("t.lut.json", {"metadata": 5, "entries": {}}, CALIBRATE),
     "records-line-a-number": ("r.records.jsonl", 5,
@@ -211,6 +227,7 @@ FLAG_COMMANDS = {
                       "--out", "{tmp}/w.json"],
     "calibrate": ["calibrate", "--net", "toy-classification", "--lut", "{tmp}/t.lut.json",
                   "--out-prefix", "{tmp}/cal/c"],
+    "lint": ["lint", "--net", "{tmp}/c.net.json"],
 }
 
 OUT_OF_RANGE_FLAGS = [
@@ -225,6 +242,10 @@ OUT_OF_RANGE_FLAGS = [
     ("train-compact", "--batch-size", "0"), ("train-compact", "--data-samples", "0"),
     ("train-compact", "--data-size", "0"), ("train-compact", "--data-classes", "1"),
     ("calibrate", "--samples", "0"), ("calibrate", "--trials", "0"),
+    ("train-compact", "--steps", "0"), ("train-compact", "--steps", "-1"),
+    ("train-compact", "--lr", "0"), ("train-compact", "--lr", "-1"),
+    ("train-compact", "--weight-decay", "-1"), ("costmodel train", "--lr", "0"),
+    ("costmodel train", "--lr", "-1"), ("lint", "--streaming-threshold", "-1"),
 ]
 
 

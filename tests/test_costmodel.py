@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hwnas.costmodel import (FEATURE_DIM, CostModelConfig, ProfileRecord,
+from hwnas.costmodel import (FEATURE_DIM, HIDDEN, CostModel, CostModelConfig, ProfileRecord,
                              encode_features, evaluate_mape, load_model,
                              load_records, lut_from_model, predict,
                              save_model, save_records, simulate_records,
                              train_cost_model)
-from hwnas.errors import InsufficientData
+from hwnas.errors import HwnasError, InsufficientData
 from hwnas.graph import OperatorSpec, OpKind, TensorShape
 from hwnas.profiler import SimulatedVPU
 
@@ -153,3 +153,15 @@ def test_lut_from_model_key_set(toy_supernet):
                                 enumerate_search_space(toy_supernet)}
     assert all(v >= 0 for v in lut.entries.values())
     assert lut.source == "CostModel"
+
+
+@pytest.mark.parametrize("b3,feat_std", [(1e300, 1.0), (0.0, 0.0)])
+def test_lut_from_model_rejects_non_finite_prediction(toy_supernet, b3, feat_std):
+    """An overflowing bias or a zero feature scale loads, but predicts inf or
+    NaN; the error names the first key it hits."""
+    (h1, h2), d = HIDDEN, FEATURE_DIM
+    model = CostModel(w1=np.zeros((h1, d)), b1=np.zeros(h1), w2=np.zeros((h2, h1)),
+                      b2=np.zeros(h2), w3=np.zeros(h2), b3=b3,
+                      feat_mean=np.zeros(d), feat_std=np.full(d, feat_std))
+    with pytest.raises(HwnasError, match="non-finite latency .* for 'Conv:k3:s1:e1:i3x8x8"):
+        lut_from_model(model, toy_supernet)

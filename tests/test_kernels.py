@@ -119,8 +119,29 @@ def _space_layers():
 # k5 window matrix alone would be 0.8 GB, so it is checked at batch 2 only.
 CASES = [(op, shape, batch) for space, op, shape in _space_layers()
          for batch in ((2,) if space == "calibration" else (2, 8, 32))]
-CASES.append((OperatorSpec(OpKind.DWConv, 16, 16, kernel=3, stride=2),
-              TensorShape(16, 8, 8), 8))
+# Shapes no built-in space uses: strided windows and odd map sizes.
+CASES += [
+    (OperatorSpec(OpKind.DWConv, 16, 16, kernel=3, stride=2), TensorShape(16, 8, 8), 8),
+    (OperatorSpec(OpKind.Conv, 3, 8, kernel=3, stride=2), TensorShape(3, 8, 8), 8),
+    (OperatorSpec(OpKind.Conv, 4, 6, kernel=5, stride=2), TensorShape(4, 8, 8), 2),
+    (OperatorSpec(OpKind.Conv, 4, 6, kernel=3), TensorShape(4, 9, 9), 8),
+    (OperatorSpec(OpKind.Conv, 4, 6, kernel=5, stride=2), TensorShape(4, 9, 9), 8),
+    (OperatorSpec(OpKind.DWConv, 6, 6, kernel=5), TensorShape(6, 9, 9), 8),
+    (OperatorSpec(OpKind.DWConv, 6, 6, kernel=3, stride=2), TensorShape(6, 9, 9), 2),
+    (OperatorSpec(OpKind.PointwiseConv, 5, 3), TensorShape(5, 9, 9), 8),
+]
+
+# Cases whose input and output gradient are a third +0.0 and -0.0: a kernel
+# that adds a signed zero where the reference adds nothing shows up only in
+# the bytes, since np.array_equal(-0.0, 0.0) holds.
+SIGNED_ZERO_CASES = [
+    (OperatorSpec(OpKind.Conv, 3, 16, kernel=3), TensorShape(3, 8, 8), 8),
+    (OperatorSpec(OpKind.Conv, 16, 16, kernel=3), TensorShape(16, 8, 8), 8),
+    (OperatorSpec(OpKind.DWConv, 16, 16, kernel=3), TensorShape(16, 8, 8), 8),
+    (OperatorSpec(OpKind.Conv, 4, 6, kernel=5, stride=2), TensorShape(4, 9, 9), 8),
+    (OperatorSpec(OpKind.DWConv, 6, 6, kernel=5), TensorShape(6, 9, 9), 8),
+    (OperatorSpec(OpKind.PointwiseConv, 5, 3), TensorShape(5, 9, 9), 8),
+]
 
 
 def _case_id(case):
@@ -129,50 +150,103 @@ def _case_id(case):
             f"-s{op.stride}-{shape.height}x{shape.width}-b{batch}")
 
 
+def _with_signed_zeros(a, rng):
+    """A copy of `a` with about a third of its entries set to +0.0 or -0.0."""
+    a = a.copy()
+    a[rng.random(a.shape) < 1 / 6] = 0.0
+    a[rng.random(a.shape) < 1 / 6] = -0.0
+    return a
+
+
+def _same_bytes(got, ref):
+    """Bitwise equality, signed zeros and NaN payloads included."""
+    return got.shape == ref.shape and got.dtype == ref.dtype \
+        and got.tobytes() == ref.tobytes()
+
+
 def _reference(op, w, b, x, g):
     if op.kind is OpKind.DWConv:
         return ref_dwconv(x, w, b, g, op.stride, op.padding)
     return ref_conv(x, w, b, g, op.stride, op.padding)
 
 
-@pytest.mark.parametrize("case", CASES, ids=_case_id)
-def test_conv_kernels_match_reference_bitwise(case):
+def _check_conv_case(case, signed_zeros=False, channel_major_input=False):
     op, shape, batch = case
     rng = np.random.default_rng(batch)
     inst = ModuleInstance(op, rng)
     for p in inst.params.values():
         p.value += 0.1 * rng.standard_normal(p.value.shape)
     x = rng.standard_normal((batch, shape.channels, shape.height, shape.width))
+    if signed_zeros:
+        x = _with_signed_zeros(x, rng)
+    if channel_major_input:
+        # the [C,B,H,W] memory order of a conv output, same values
+        x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
     out = inst.forward(x)
     g = rng.standard_normal(out.shape)
+    if signed_zeros:
+        g = _with_signed_zeros(g, rng)
     dx = inst.backward(g)
     w, b = inst.params["weight"], inst.params["bias"]
     ref_out, ref_dx, ref_dw, ref_db = _reference(op, w.value, b.value, x, g)
-    assert np.array_equal(out, ref_out)
-    assert np.array_equal(dx, ref_dx)
-    assert np.array_equal(w.grad, ref_dw)
-    assert np.array_equal(b.grad, ref_db)
-    # dx keeps the reference memory layout, so reductions over it sum alike
+    assert _same_bytes(out, ref_out)
+    assert _same_bytes(dx, ref_dx)
+    assert _same_bytes(w.grad, ref_dw)
+    assert _same_bytes(b.grad, ref_db)
+    # out and dx keep the reference memory layout, so reductions over them
+    # sum in the same order
+    assert out.strides == ref_out.strides
     assert dx.strides == ref_dx.strides
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_conv_kernels_match_reference_bitwise(case):
+    _check_conv_case(case)
+
+
+@pytest.mark.parametrize("case", SIGNED_ZERO_CASES, ids=_case_id)
+def test_conv_kernels_keep_signed_zeros(case):
+    _check_conv_case(case, signed_zeros=True)
+
+
+# A layer's input is usually the previous conv's output, whose memory order
+# is [C,B,H,W]; a kernel that hands BLAS a view of it, not a copy, can round
+# differently from the reference.
+@pytest.mark.parametrize("case", SIGNED_ZERO_CASES, ids=_case_id)
+def test_conv_kernels_match_reference_on_channel_major_input(case):
+    _check_conv_case(case, channel_major_input=True)
 
 
 POOL_CASES = [(3, 1, (4, 5, 8, 8)), (1, 2, (3, 4, 8, 8)), (3, 2, (2, 3, 9, 9)),
               (5, 1, (2, 2, 7, 7)), (5, 2, (2, 3, 8, 8))]
 
 
-@pytest.mark.parametrize("kind", [OpKind.AvgPool, OpKind.MaxPool])
-@pytest.mark.parametrize("k,stride,x_shape", POOL_CASES)
-def test_pool_backward_matches_reference_bitwise(kind, k, stride, x_shape):
+def _check_pool_case(kind, k, stride, x_shape, signed_zeros):
     rng = np.random.default_rng(k + stride)
     op = OperatorSpec(kind, x_shape[1], x_shape[1], kernel=k, stride=stride)
     pad = op.padding
     inst = ModuleInstance(op, rng)
     x = rng.standard_normal(x_shape)
     g = rng.standard_normal(inst.forward(x).shape)
+    if signed_zeros:
+        g = _with_signed_zeros(g, rng)
     dx = inst.backward(g)
     ref = (ref_avgpool_dx(g, x_shape, k, stride, pad) if kind is OpKind.AvgPool
            else ref_maxpool_dx(x, g, k, stride, pad))
-    assert np.array_equal(dx, ref)
+    assert _same_bytes(dx, ref)
+    assert dx.strides == ref.strides
+
+
+@pytest.mark.parametrize("kind", [OpKind.AvgPool, OpKind.MaxPool])
+@pytest.mark.parametrize("k,stride,x_shape", POOL_CASES)
+def test_pool_backward_matches_reference_bitwise(kind, k, stride, x_shape):
+    _check_pool_case(kind, k, stride, x_shape, signed_zeros=False)
+
+
+@pytest.mark.parametrize("kind", [OpKind.AvgPool, OpKind.MaxPool])
+@pytest.mark.parametrize("k,stride,x_shape", POOL_CASES)
+def test_pool_backward_keeps_signed_zeros(kind, k, stride, x_shape):
+    _check_pool_case(kind, k, stride, x_shape, signed_zeros=True)
 
 
 @pytest.mark.parametrize("batch,classes", [(1, 2), (8, 4), (32, 10)])
