@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySet, HwnasError, InsufficientData, NonFiniteLoss, ParseError
-from .graph import (OperatorSpec, OpKind, SuperNet, TensorShape, _op_from_json, _op_to_json,
-                    _shape_from_json, output_shape)
+from .errors import (EmptySet, HwnasError, InsufficientData, InvalidOp, NonFiniteLoss,
+                     ParseError)
+from .graph import (KINDS, OperatorSpec, OpKind, SuperNet, TensorShape, _op_from_json,
+                    _op_to_json, _shape_from_json, output_shape)
 from .jsonio import (array_from_json, array_to_json, field, loads_object, read_object,
                      read_text, write_object)
 from .latency import DEFAULT_CLOCK_GHZ, LatencyTable
@@ -130,6 +131,7 @@ def _param_views(flat: np.ndarray, shapes: dict) -> dict:
     return views
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging fit ends in NonFiniteLoss
 def _fit_once(rng, cfg, x_tr, t_tr, x_va, t_va, mean, std):
     """One Adam run with cosine lr decay; returns the best-validation snapshot.
 
@@ -353,44 +355,36 @@ _KIND_WEIGHTS = ([OpKind.Conv] * 4 + [OpKind.MBConv] * 3 + [OpKind.DWConv] * 2
 
 
 def sample_workload(rng: np.random.Generator) -> tuple:
-    """Random valid (op, input shape); Identity excluded (zero-cost)."""
-    kinds = _KIND_WEIGHTS
+    """Random valid (op, input shape); Identity excluded (zero-cost).
+
+    A kind keeps only the fields it accepts: a window kernel of at least 3,
+    the stride, MBConv's expand ratio, LeakyReLU's slope 0.1 and a scale of
+    2. A kind whose input does not fix its output width draws it.
+    """
     while True:
-        kind = kinds[int(rng.integers(len(kinds)))]
+        kind = _KIND_WEIGHTS[int(rng.integers(len(_KIND_WEIGHTS)))]
+        rule = KINDS[kind]
         c = int(rng.choice(_CHANNELS))
         h = int(rng.choice(_SIZES))
-        w = h
-        shape = TensorShape(c, h, w)
+        shape = TensorShape(c, h, h)
         kernel = int(rng.choice([1, 3, 5, 7]))
         stride = int(rng.choice([1, 2]))
+        in_c, out_c = c, c
+        if kind is OpKind.Linear:  # a head over the flattened map
+            in_c, out_c = shape.numel, int(rng.choice([4, 10, 16, 32, 64]))
+        elif not (rule.same_channels or "scale_factor" in rule.fields):
+            out_c = int(rng.choice(_CHANNELS))
+        if kind is OpKind.DepthToSpace:  # its scale 2 moves 4 channels into space
+            out_c = c // 4
+        expand = int(rng.choice([1, 2, 4, 6])) if "expand_ratio" in rule.fields else 1
+        values = {"kernel": 3 if kernel == 1 else kernel, "stride": stride,
+                  "expand_ratio": expand, "activation_slope": 0.1, "scale_factor": 2}
+        op = OperatorSpec(kind, in_c, out_c,
+                          **{k: v for k, v in values.items() if k in rule.fields})
         try:
-            if kind in (OpKind.Conv, OpKind.MBConv):
-                out_c = int(rng.choice(_CHANNELS))
-                expand = int(rng.choice([1, 2, 4, 6])) if kind is OpKind.MBConv else 1
-                op = OperatorSpec(kind, c, out_c, kernel=max(kernel, 3) if kernel == 1 else kernel,
-                                  stride=stride, expand_ratio=expand)
-            elif kind in (OpKind.DWConv, OpKind.AvgPool, OpKind.MaxPool):
-                op = OperatorSpec(kind, c, c, kernel=3 if kernel == 1 else kernel,
-                                  stride=stride)
-            elif kind is OpKind.PointwiseConv:
-                op = OperatorSpec(kind, c, int(rng.choice(_CHANNELS)), stride=stride)
-            elif kind is OpKind.ReLU:
-                op = OperatorSpec(kind, c, c)
-            elif kind is OpKind.LeakyReLU:
-                op = OperatorSpec(kind, c, c, activation_slope=0.1)
-            elif kind is OpKind.UpsampleNearest or kind is OpKind.UpsampleBilinear:
-                op = OperatorSpec(kind, c, c, scale_factor=2)
-            elif kind is OpKind.DepthToSpace:
-                if c % 4 != 0:
-                    continue
-                op = OperatorSpec(kind, c, c // 4, scale_factor=2)
-            elif kind is OpKind.Linear:
-                op = OperatorSpec(kind, shape.numel, int(rng.choice([4, 10, 16, 32, 64])))
-            else:  # pragma: no cover
-                continue
             op.validate_fields()
             output_shape(op, shape)
-        except Exception:
+        except InvalidOp:
             continue
         return op, shape
 

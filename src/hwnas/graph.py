@@ -1,4 +1,5 @@
-"""Network IR: operator specs, supernets, the layer walk, canonical keys, JSON I/O.
+"""Network IR: operator specs, the kind table, supernets, the layer walk,
+canonical keys, JSON I/O.
 
 All types are immutable after construction and safe to share across threads.
 A supernet is a linear chain of mixed stages; every candidate inside a stage
@@ -8,10 +9,11 @@ must map the stage's input shape to the same declared output shape.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import InvalidOp, ParseError
 from .jsonio import field, loads_object, read_text
@@ -36,13 +38,6 @@ class OpKind(str, Enum):
 class Task(str, Enum):
     Classification = "Classification"
     SuperResolution = "SuperResolution"
-
-
-# Kinds whose kernel field is meaningful (spatial window).
-SPATIAL_KINDS = {OpKind.Conv, OpKind.DWConv, OpKind.MBConv, OpKind.AvgPool, OpKind.MaxPool}
-# Kinds that may use stride > 1.
-STRIDED_KINDS = SPATIAL_KINDS | {OpKind.PointwiseConv}
-SCALED_KINDS = {OpKind.UpsampleNearest, OpKind.UpsampleBilinear, OpKind.DepthToSpace}
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class OperatorSpec:
 
     def validate_fields(self) -> None:
         """Raise InvalidOp on any structural invariant violation."""
-        k = self.kind
+        k, rule = self.kind, KINDS[self.kind]
         if self.in_channels < 1 or self.out_channels < 1:
             raise InvalidOp(f"{k.value}: channel counts must be positive")
         if self.kernel < 1 or self.kernel % 2 == 0:
@@ -93,38 +88,18 @@ class OperatorSpec:
             raise InvalidOp(f"{k.value}: scale_factor must be positive")
         if self.activation_slope < 0:
             raise InvalidOp(f"{k.value}: activation_slope must be non-negative")
-        if k not in SPATIAL_KINDS and self.kernel != 1:
-            raise InvalidOp(f"{k.value}: kernel must be 1 for non-spatial kinds")
-        if k not in STRIDED_KINDS and self.stride != 1:
-            raise InvalidOp(f"{k.value}: stride must be 1")
-        if k is not OpKind.MBConv and self.expand_ratio != 1:
-            raise InvalidOp(f"{k.value}: expand_ratio only applies to MBConv")
-        if k is not OpKind.LeakyReLU and self.activation_slope != 0:
-            raise InvalidOp(f"{k.value}: activation_slope only applies to LeakyReLU")
-        if k not in SCALED_KINDS and self.scale_factor != 1:
-            raise InvalidOp(f"{k.value}: scale_factor only applies to upsample/DepthToSpace")
-        if k in (OpKind.Identity, OpKind.ReLU, OpKind.LeakyReLU, OpKind.AvgPool,
-                 OpKind.MaxPool, OpKind.DWConv) and self.in_channels != self.out_channels:
+        for name, default in OPTIONAL_FIELDS.items():
+            if name not in rule.fields and getattr(self, name) != default:
+                raise InvalidOp(f"{k.value}: {name} does not apply, must be {default}")
+        if rule.same_channels and self.in_channels != self.out_channels:
             raise InvalidOp(f"{k.value}: requires in_channels == out_channels")
-        if k is OpKind.Identity and self.stride != 1:
-            raise InvalidOp("Identity: stride must be 1")
-        if k is OpKind.MBConv:
-            if self.expand_ratio <= 0:
-                raise InvalidOp("MBConv: expand_ratio must be positive")
-            hidden = self.expand_ratio * self.in_channels
-            if hidden.denominator != 1 or hidden < 1:
-                raise InvalidOp(
-                    f"MBConv: expand_ratio*in_channels must be a positive integer, got {hidden}")
-        if k is OpKind.DepthToSpace:
-            r2 = self.scale_factor ** 2
-            if self.in_channels % r2 != 0:
-                raise InvalidOp("DepthToSpace: in_channels must be divisible by scale_factor^2")
-            if self.out_channels != self.in_channels // r2:
-                raise InvalidOp("DepthToSpace: out_channels must equal in_channels/scale_factor^2")
+        rule.check(self)
 
     @property
     def padding(self) -> int:
-        return (self.kernel - 1) // 2 if self.kind in SPATIAL_KINDS else 0
+        """Half the window, so stride 1 keeps the map size; 0 for kernel 1, the
+        only kernel a kind without a window accepts."""
+        return (self.kernel - 1) // 2
 
     @property
     def hidden_channels(self) -> int:
@@ -132,30 +107,160 @@ class OperatorSpec:
         return int(self.expand_ratio * self.in_channels)
 
 
-def _spatial_out(size: int, kernel: int, stride: int, padding: int) -> int:
-    out = (size + 2 * padding - kernel) // stride + 1
+# ---------------------------------------------------------------------------
+# The kind table: every per-kind fact, declared once
+# ---------------------------------------------------------------------------
+
+# Optional OperatorSpec fields, with the value a kind that does not accept one must keep.
+OPTIONAL_FIELDS = {"kernel": 1, "stride": 1, "expand_ratio": 1, "activation_slope": 0.0,
+                   "scale_factor": 1}
+
+
+def _spatial_out(size: int, op: OperatorSpec) -> int:
+    out = (size + 2 * op.padding - op.kernel) // op.stride + 1
     if out < 1:
-        raise InvalidOp(f"spatial size collapses: in={size} k={kernel} s={stride}")
-    return out
+        raise InvalidOp(f"spatial size collapses: in={size} k={op.kernel} s={op.stride}")
+    return out * op.scale_factor
+
+
+def _map_shape(op, shape):
+    """A window of op.kernel at op.stride, padded by op.padding, then each
+    pixel scaled to op.scale_factor² pixels; kernel, stride and scale 1 keep
+    the map."""
+    if op.in_channels != shape.channels:
+        raise InvalidOp(
+            f"{op.kind.value}: expects {op.in_channels} channels, input has {shape.channels}")
+    return TensorShape(op.out_channels, _spatial_out(shape.height, op),
+                       _spatial_out(shape.width, op))
+
+
+def _flat_shape(op, shape):
+    if op.in_channels != shape.numel:
+        raise InvalidOp(f"Linear: in_channels {op.in_channels} != flattened input {shape.numel}")
+    return TensorShape(op.out_channels, 1, 1)
+
+
+def _conv_params(op):
+    return {"weight": (op.out_channels, op.in_channels, op.kernel, op.kernel),
+            "bias": (op.out_channels,)}
+
+
+def _dense_params(op):
+    return {"weight": (op.out_channels, op.in_channels), "bias": (op.out_channels,)}
+
+
+def _projection_params(op):
+    """The learned pointwise projection after resampling, when it changes the width."""
+    return _dense_params(op) if op.out_channels != op.in_channels else {}
+
+
+def _mbconv_children(op):
+    h = op.hidden_channels
+    return {"expand": OperatorSpec(OpKind.PointwiseConv, op.in_channels, h),
+            "dw": OperatorSpec(OpKind.DWConv, h, h, kernel=op.kernel, stride=op.stride),
+            "project": OperatorSpec(OpKind.PointwiseConv, h, op.out_channels)}
+
+
+def _children_params(op):
+    return {f"{name}.{p}": shape for name, child in KINDS[op.kind].children(op).items()
+            for p, shape in KINDS[child.kind].params(child).items()}
+
+
+def _weight_macs(op, in_shape, out):
+    """Each weight's size times the output pixels."""
+    return out.height * out.width * sum(
+        math.prod(shape) for name, shape in KINDS[op.kind].params(op).items()
+        if name == "weight")
+
+
+def _children_macs(op, shape, out):
+    total = 0
+    for child in KINDS[op.kind].children(op).values():
+        rule = KINDS[child.kind]
+        child_out = rule.shape(child, shape)
+        total += rule.macs(child, shape, child_out)
+        shape = child_out
+    return total
+
+
+def _check_mbconv(op):
+    hidden = op.expand_ratio * op.in_channels
+    if hidden.denominator != 1 or hidden < 1:
+        raise InvalidOp(
+            f"MBConv: expand_ratio*in_channels must be a positive integer, got {hidden}")
+
+
+def _check_depth_to_space(op):
+    if op.in_channels != op.out_channels * op.scale_factor ** 2:
+        raise InvalidOp("DepthToSpace: in_channels must equal out_channels*scale_factor^2")
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What one operator kind accepts, produces, learns and costs.
+
+    `fields` are the OPTIONAL_FIELDS the kind accepts (the others must keep
+    their defaults) and `check(op)` its own further field rules.
+    `shape(op, in_shape)` is its output-shape rule, `params(op)` its learnable
+    arrays as {name: shape} in creation order, and `children(op)` the named
+    sub-operators a composite kind is built from. `macs(op, in_shape,
+    out_shape)` counts multiply-accumulates (elementwise work one per output
+    element). `dsp_bound(op)`: the accelerator offloads it to its slow DSP.
+    `tiled`: it computes on the device's channel tiles. `conv_family`: lint
+    VPU002 checks its width (Linear is tiled but not in the family).
+    """
+
+    fields: frozenset = frozenset()
+    same_channels: bool = False
+    check: Callable = lambda op: None
+    shape: Callable = _map_shape
+    params: Callable = lambda op: {}
+    children: Callable = lambda op: {}
+    macs: Callable = _weight_macs
+    dsp_bound: Callable = lambda op: False
+    tiled: bool = False
+    conv_family: bool = False
+
+
+_WINDOW = frozenset({"kernel", "stride"})
+_SCALED = frozenset({"scale_factor"})
+
+
+KINDS = {
+    OpKind.Conv: Kind(_WINDOW, params=_conv_params, tiled=True, conv_family=True),
+    OpKind.DWConv: Kind(_WINDOW, same_channels=True, tiled=True, conv_family=True,
+                        params=lambda op: {"weight": (op.in_channels, op.kernel, op.kernel),
+                                           "bias": (op.in_channels,)}),
+    OpKind.PointwiseConv: Kind(frozenset({"stride"}), params=_conv_params, tiled=True,
+                               conv_family=True),
+    OpKind.MBConv: Kind(_WINDOW | {"expand_ratio"}, check=_check_mbconv,
+                        params=_children_params, children=_mbconv_children,
+                        macs=_children_macs, tiled=True, conv_family=True),
+    OpKind.AvgPool: Kind(_WINDOW, same_channels=True,
+                         macs=lambda op, i, out: op.kernel ** 2 * out.numel),
+    OpKind.MaxPool: Kind(_WINDOW, same_channels=True,
+                         macs=lambda op, i, out: op.kernel ** 2 * out.numel),
+    OpKind.Identity: Kind(same_channels=True),
+    OpKind.ReLU: Kind(same_channels=True, macs=lambda op, i, out: out.numel),
+    OpKind.LeakyReLU: Kind(frozenset({"activation_slope"}), same_channels=True,
+                           macs=lambda op, i, out: out.numel,
+                           dsp_bound=lambda op: op.activation_slope != 0),
+    OpKind.UpsampleNearest: Kind(
+        _SCALED, params=_projection_params,
+        macs=lambda op, i, out: _weight_macs(op, i, out) + out.numel),
+    OpKind.UpsampleBilinear: Kind(
+        _SCALED, params=_projection_params,
+        macs=lambda op, i, out: _weight_macs(op, i, out) + 4 * out.numel,
+        dsp_bound=lambda op: True),
+    OpKind.DepthToSpace: Kind(_SCALED, check=_check_depth_to_space, dsp_bound=lambda op: True),
+    OpKind.Linear: Kind(shape=_flat_shape, params=_dense_params, tiled=True),
+}
 
 
 def output_shape(op: OperatorSpec, shape: TensorShape) -> TensorShape:
     """Shape produced by `op` applied to `shape`; raises on incompatibility."""
     op.validate_fields()
-    k = op.kind
-    if k is OpKind.Linear:
-        if op.in_channels != shape.numel:
-            raise InvalidOp(
-                f"Linear: in_channels {op.in_channels} != flattened input {shape.numel}")
-        return TensorShape(op.out_channels, 1, 1)
-    if op.in_channels != shape.channels:
-        raise InvalidOp(f"{k.value}: expects {op.in_channels} channels, input has {shape.channels}")
-    if k in SCALED_KINDS:
-        return TensorShape(op.out_channels, shape.height * op.scale_factor,
-                           shape.width * op.scale_factor)
-    h = _spatial_out(shape.height, op.kernel, op.stride, op.padding)
-    w = _spatial_out(shape.width, op.kernel, op.stride, op.padding)
-    return TensorShape(op.out_channels, h, w)
+    return KINDS[op.kind].shape(op, shape)
 
 
 def _fmt_fraction(f: Fraction) -> str:

@@ -11,6 +11,9 @@ Registered rules:
                     DMA-bound and lose to a plain convolution.
   GELU-class activations are on the avoid-list but outside the operator set;
   the id VPU001 is documented as covering them if the set ever grows.
+
+VPU001's DSP-bound kinds and VPU002's convolution family are read from the
+kind table, `graph.KINDS`.
 """
 
 from __future__ import annotations
@@ -19,12 +22,10 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .graph import CompactNet, OperatorSpec, OpKind, SuperNet, TensorShape, walk
+from .graph import KINDS, CompactNet, OperatorSpec, OpKind, SuperNet, TensorShape, walk
 from .profiler import is_dsp_bound
 
 RULE_IDS = ("VPU001", "VPU002", "VPU003")
-
-CONV_FAMILY = {OpKind.Conv, OpKind.DWConv, OpKind.PointwiseConv, OpKind.MBConv}
 
 DEFAULT_STREAMING_THRESHOLD_BYTES = 1 << 20  # 1 MiB of activation per layer
 
@@ -57,7 +58,7 @@ def _op_findings(op: OperatorSpec, index: int, in_shape: TensorShape,
             "VPU001", Severity.Warning, index,
             f"{loc}: {op.kind.value} runs on the DSP and stalls the compute engine"))
 
-    if op.kind in CONV_FAMILY and op.out_channels % 16 != 0:
+    if KINDS[op.kind].conv_family and op.out_channels % 16 != 0:
         found.append(LintFinding(
             "VPU002", Severity.Warning, index,
             f"{loc}: {op.kind.value} has {op.out_channels} output channels; "

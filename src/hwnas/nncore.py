@@ -2,7 +2,8 @@
 
 Covers forward/backward for every OperatorSpec kind, cross-entropy and MSE
 losses, a plain SGD step with L2 weight decay, and a central finite-difference
-gradient checker. Desk-scale only.
+gradient checker. Desk-scale only. `KERNELS` holds each kind's (forward,
+backward) pair; its parameter shapes and children come from `graph.KINDS`.
 
 A backward pass computes only what its caller reads: it can skip the input
 gradient (the first layer of a net) or the parameter gradients (architecture
@@ -24,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError, ShapeMismatch, StaleState
-from .graph import OperatorSpec, OpKind, TensorShape, output_shape
+from .graph import KINDS, OperatorSpec, OpKind, TensorShape, output_shape
 from .jsonio import array_from_json, array_to_json, field, read_object, write_object
 
 CHECKPOINT_VERSION = 1
@@ -229,6 +230,175 @@ def _relu_backward(g, mask, slope):
     return np.where(mask, g, slope * g)
 
 
+# ---------------------------------------------------------------------------
+# Per-kind forward/backward: forward(m, x) -> (out, cache) and
+# backward(m, g, cache, input_grad, param_grads) -> input gradient or None,
+# for the ModuleInstance m
+# ---------------------------------------------------------------------------
+
+def _weighted(kernel_forward, kernel_backward):
+    """The pair for a kind with one weight and one bias."""
+    def forward(m, x):
+        s = m.spec
+        return kernel_forward(x, m.params["weight"].value, m.params["bias"].value,
+                              s.stride, s.padding), x
+
+    def backward(m, g, x, input_grad, param_grads):
+        dx, dw, db = kernel_backward(g, m.params["weight"].value, x, m.spec.stride,
+                                     m.spec.padding, input_grad, param_grads)
+        if param_grads:
+            m.params["weight"].grad += dw
+            m.params["bias"].grad += db
+        return dx
+    return forward, backward
+
+
+def _mbconv(m, x):
+    # the children run through ModuleInstance.forward/backward, so each is
+    # checked, and traced, as an op of its own kind
+    s, ch = m.spec, m._children
+    act1, m1 = _relu_forward(ch["expand"].forward(x), 0.0)
+    act2, m2 = _relu_forward(ch["dw"].forward(act1), 0.0)
+    out = ch["project"].forward(act2)
+    residual = s.in_channels == s.out_channels and s.stride == 1
+    return (out + x if residual else out), (m1, m2, residual)
+
+def _mbconv_backward(m, g, cache, input_grad, param_grads):
+    m1, m2, residual = cache
+    ch = m._children
+    d = _relu_backward(ch["project"].backward(g, param_grads=param_grads), m2, 0.0)
+    d = _relu_backward(ch["dw"].backward(d, param_grads=param_grads), m1, 0.0)
+    d = ch["expand"].backward(d, input_grad, param_grads)
+    return d + g if residual and input_grad else d
+
+
+def _avgpool(m, x):
+    s = m.spec
+    return _windows(x, s.kernel, s.stride, s.padding).mean(axis=(-1, -2)), x.shape
+
+def _avgpool_backward(m, g, shape, input_grad, param_grads):
+    s = m.spec
+    gk = g / (s.kernel * s.kernel)
+    # the scatter zeroes each slab's padding taps: one copy per offset
+    return _scatter_windows(lambda i, j: gk.copy(), shape, s.kernel, s.stride)
+
+
+def _maxpool(m, x):
+    s = m.spec
+    # -inf padding: a border window's max comes from the input alone
+    win = _windows(x, s.kernel, s.stride, s.padding, -np.inf)
+    flat = win.reshape(win.shape[:4] + (s.kernel * s.kernel,))
+    idx = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], (x.shape, idx)
+
+def _maxpool_backward(m, g, cache, input_grad, param_grads):
+    s, (shape, idx) = m.spec, cache
+    # offset-major, so each offset's slab t[i*k + j] is contiguous
+    t = np.zeros((s.kernel * s.kernel,) + g.shape)
+    np.put_along_axis(t, idx[None], g[None], axis=0)
+    return _scatter_windows(lambda i, j: t[i * s.kernel + j], shape, s.kernel, s.stride)
+
+
+def _project(m, up, extra=()):
+    """Optional channel projection after resampling; (out, cache)."""
+    if "weight" not in m.params:
+        return up, (up.shape,) + extra
+    out = np.einsum("oc,bchw->bohw", m.params["weight"].value, up, optimize=True) \
+        + m.params["bias"].value[None, :, None, None]
+    return out, (up.shape, up) + extra
+
+def _unproject(m, g, cache, input_grad, param_grads):
+    """Backward of the optional projection: the resampled map's gradient."""
+    if "weight" not in m.params:
+        return g
+    if param_grads:
+        up = cache[1]
+        m.params["weight"].grad += np.einsum("bohw,bchw->oc", g, up, optimize=True)
+        m.params["bias"].grad += g.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return None
+    return np.einsum("oc,bohw->bchw", m.params["weight"].value, g, optimize=True)
+
+
+def _nearest(m, x):
+    r = m.spec.scale_factor
+    return _project(m, x.repeat(r, axis=2).repeat(r, axis=3))
+
+def _nearest_backward(m, g, cache, input_grad, param_grads):
+    dup = _unproject(m, g, cache, input_grad, param_grads)
+    if dup is None:
+        return None
+    r = m.spec.scale_factor
+    b, c, hh, ww = dup.shape
+    return dup.reshape(b, c, hh // r, r, ww // r, r).sum(axis=(3, 5))
+
+
+def _bilinear(m, x):
+    r = m.spec.scale_factor
+    mh = _bilinear_matrix(x.shape[2] * r, x.shape[2], r)
+    mw = _bilinear_matrix(x.shape[3] * r, x.shape[3], r)
+    up = np.einsum("hH,bcHW,wW->bchw", mh, x, mw, optimize=True)
+    return _project(m, up, extra=(mh, mw))
+
+def _bilinear_backward(m, g, cache, input_grad, param_grads):
+    dup = _unproject(m, g, cache, input_grad, param_grads)
+    if dup is None:
+        return None
+    mh, mw = cache[-2], cache[-1]
+    return np.einsum("hH,bchw,wW->bcHW", mh, dup, mw, optimize=True)
+
+
+def _depth_to_space(m, x):
+    r = m.spec.scale_factor
+    b, c, hh, ww = x.shape
+    return (x.reshape(b, c // (r * r), r, r, hh, ww)
+             .transpose(0, 1, 4, 2, 5, 3)
+             .reshape(b, c // (r * r), hh * r, ww * r)), x.shape
+
+def _depth_to_space_backward(m, g, shape, input_grad, param_grads):
+    r = m.spec.scale_factor
+    b, c, hh, ww = shape
+    return (g.reshape(b, c // (r * r), hh, r, ww, r)
+             .transpose(0, 1, 3, 5, 2, 4)
+             .reshape(b, c, hh, ww))
+
+
+def _linear(m, x):
+    flat = x.reshape(x.shape[0], -1)
+    out = flat @ m.params["weight"].value.T + m.params["bias"].value
+    return out[:, :, None, None], (flat, x.shape)
+
+def _linear_backward(m, g, cache, input_grad, param_grads):
+    flat, xshape = cache
+    g2 = g[:, :, 0, 0]
+    if param_grads:
+        m.params["weight"].grad += g2.T @ flat
+        m.params["bias"].grad += g2.sum(axis=0)
+    return (g2 @ m.params["weight"].value).reshape(xshape) if input_grad else None
+
+
+_ACTIVATION = (lambda m, x: _relu_forward(x, m.spec.activation_slope),
+               lambda m, g, mask, *_: _relu_backward(g, mask, m.spec.activation_slope))
+
+# The kernels of each kind. The rest of a kind's facts are in graph.KINDS, which
+# imports no kernels.
+KERNELS = {
+    OpKind.Conv: _weighted(_conv_forward, _conv_backward),
+    OpKind.DWConv: _weighted(_dwconv_forward, _dwconv_backward),
+    OpKind.PointwiseConv: _weighted(_conv_forward, _conv_backward),
+    OpKind.MBConv: (_mbconv, _mbconv_backward),
+    OpKind.AvgPool: (_avgpool, _avgpool_backward),
+    OpKind.MaxPool: (_maxpool, _maxpool_backward),
+    OpKind.Identity: (lambda m, x: (x, ()), lambda m, g, *_: g),
+    OpKind.ReLU: _ACTIVATION,
+    OpKind.LeakyReLU: _ACTIVATION,
+    OpKind.UpsampleNearest: (_nearest, _nearest_backward),
+    OpKind.UpsampleBilinear: (_bilinear, _bilinear_backward),
+    OpKind.DepthToSpace: (_depth_to_space, _depth_to_space_backward),
+    OpKind.Linear: (_linear, _linear_backward),
+}
+
+
 class ModuleInstance:
     """One operator with its parameters and retained forward activations.
 
@@ -244,141 +414,37 @@ class ModuleInstance:
         self._children: dict = {}
         self._init_params(rng)
 
-    # -- parameter construction ------------------------------------------------
-
     def _init_params(self, rng):
-        s = self.spec
-        k = s.kind
-        if k is OpKind.Conv:
-            fan = s.in_channels * s.kernel * s.kernel
-            self.params["weight"] = Parameter(
-                _kaiming_uniform((s.out_channels, s.in_channels, s.kernel, s.kernel), fan, rng))
-            self.params["bias"] = Parameter(np.zeros(s.out_channels))
-        elif k is OpKind.DWConv:
-            fan = s.kernel * s.kernel
-            self.params["weight"] = Parameter(
-                _kaiming_uniform((s.in_channels, s.kernel, s.kernel), fan, rng))
-            self.params["bias"] = Parameter(np.zeros(s.in_channels))
-        elif k is OpKind.PointwiseConv:
-            self.params["weight"] = Parameter(
-                _kaiming_uniform((s.out_channels, s.in_channels, 1, 1), s.in_channels, rng))
-            self.params["bias"] = Parameter(np.zeros(s.out_channels))
-        elif k is OpKind.Linear:
-            self.params["weight"] = Parameter(
-                _kaiming_uniform((s.out_channels, s.in_channels), s.in_channels, rng))
-            self.params["bias"] = Parameter(np.zeros(s.out_channels))
-        elif k is OpKind.MBConv:
-            h = s.hidden_channels
-            self._children["expand"] = ModuleInstance(
-                OperatorSpec(OpKind.PointwiseConv, s.in_channels, h), rng)
-            self._children["dw"] = ModuleInstance(
-                OperatorSpec(OpKind.DWConv, h, h, kernel=s.kernel, stride=s.stride), rng)
-            self._children["project"] = ModuleInstance(
-                OperatorSpec(OpKind.PointwiseConv, h, s.out_channels), rng)
-            for cname, child in self._children.items():
-                for pname, p in child.params.items():
-                    self.params[f"{cname}.{pname}"] = p
-        elif k in (OpKind.UpsampleNearest, OpKind.UpsampleBilinear):
-            if s.out_channels != s.in_channels:
-                # learned pointwise projection after resampling
-                self.params["weight"] = Parameter(
-                    _kaiming_uniform((s.out_channels, s.in_channels), s.in_channels, rng))
-                self.params["bias"] = Parameter(np.zeros(s.out_channels))
-        # Identity / ReLU / LeakyReLU / pools / DepthToSpace carry no parameters.
+        """A composite kind's children in table order, sharing their
+        parameters under "<child>.<name>"; otherwise each table weight drawn
+        Kaiming-uniform over its fan-in shape[1:], each bias zeros."""
+        rule = KINDS[self.spec.kind]
+        for cname, child_spec in rule.children(self.spec).items():
+            child = self._children[cname] = ModuleInstance(child_spec, rng)
+            for pname, p in child.params.items():
+                self.params[f"{cname}.{pname}"] = p
+        if self._children:
+            return
+        for name, shape in rule.params(self.spec).items():
+            self.params[name] = Parameter(
+                np.zeros(shape) if name == "bias"
+                else _kaiming_uniform(shape, math.prod(shape[1:]), rng))
 
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
-
-    # -- forward ----------------------------------------------------------------
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         s = self.spec
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4:
             raise ShapeMismatch(f"expected [B,C,H,W] input, got ndim={x.ndim}")
-        in_shape = TensorShape(x.shape[1], x.shape[2], x.shape[3])
-        expect = output_shape(s, in_shape)  # raises on channel mismatch
-        k = s.kind
-
-        if k is OpKind.Identity:
-            out, self._cache = x, ()
-        elif k in (OpKind.ReLU, OpKind.LeakyReLU):
-            out, mask = _relu_forward(x, s.activation_slope)
-            self._cache = (mask,)
-        elif k in (OpKind.Conv, OpKind.PointwiseConv, OpKind.DWConv):
-            kernel_forward = _dwconv_forward if k is OpKind.DWConv else _conv_forward
-            out = kernel_forward(x, self.params["weight"].value,
-                                 self.params["bias"].value, s.stride, s.padding)
-            self._cache = (x,)
-        elif k is OpKind.MBConv:
-            out = self._mbconv_forward(x)
-        elif k is OpKind.AvgPool:
-            out = _windows(x, s.kernel, s.stride, s.padding).mean(axis=(-1, -2))
-            self._cache = (x.shape,)
-        elif k is OpKind.MaxPool:
-            # -inf padding: a border window's max comes from the input alone
-            win = _windows(x, s.kernel, s.stride, s.padding, -np.inf)
-            flat = win.reshape(win.shape[:4] + (s.kernel * s.kernel,))
-            idx = flat.argmax(axis=-1)
-            out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-            self._cache = (x.shape, idx)
-        elif k is OpKind.UpsampleNearest:
-            r = s.scale_factor
-            up = x.repeat(r, axis=2).repeat(r, axis=3)
-            out = self._project(up)
-        elif k is OpKind.UpsampleBilinear:
-            r = s.scale_factor
-            mh = _bilinear_matrix(x.shape[2] * r, x.shape[2], r)
-            mw = _bilinear_matrix(x.shape[3] * r, x.shape[3], r)
-            up = np.einsum("hH,bcHW,wW->bchw", mh, x, mw, optimize=True)
-            out = self._project(up, extra=(mh, mw))
-        elif k is OpKind.DepthToSpace:
-            r = s.scale_factor
-            b, c, hh, ww = x.shape
-            co = c // (r * r)
-            out = (x.reshape(b, co, r, r, hh, ww)
-                    .transpose(0, 1, 4, 2, 5, 3)
-                    .reshape(b, co, hh * r, ww * r))
-            self._cache = (x.shape,)
-        elif k is OpKind.Linear:
-            flat = x.reshape(x.shape[0], -1)
-            out = (flat @ self.params["weight"].value.T
-                   + self.params["bias"].value)[:, :, None, None]
-            self._cache = (flat, x.shape)
-        else:  # pragma: no cover
-            raise ShapeMismatch(f"unhandled kind {k}")
-
+        expect = output_shape(s, TensorShape(*x.shape[1:]))  # raises on channel mismatch
+        out, self._cache = KERNELS[s.kind][0](self, x)
         if out.shape[1:] != (expect.channels, expect.height, expect.width):
             raise ShapeMismatch(
-                f"{k.value}: produced {out.shape[1:]}, expected {expect}")
+                f"{s.kind.value}: produced {out.shape[1:]}, expected {expect}")
         return out
-
-    def _project(self, up, extra=()):
-        """Optional channel projection for upsample kinds; caches for backward."""
-        if "weight" in self.params:
-            out = np.einsum("oc,bchw->bohw", self.params["weight"].value[:, :], up, optimize=True) \
-                + self.params["bias"].value[None, :, None, None]
-            self._cache = (up.shape, up) + extra
-        else:
-            out = up
-            self._cache = (up.shape,) + extra
-        return out
-
-    def _mbconv_forward(self, x):
-        s = self.spec
-        exp = self._children["expand"].forward(x)
-        act1, m1 = _relu_forward(exp, 0.0)
-        dw = self._children["dw"].forward(act1)
-        act2, m2 = _relu_forward(dw, 0.0)
-        out = self._children["project"].forward(act2)
-        residual = s.in_channels == s.out_channels and s.stride == 1
-        if residual:
-            out = out + x
-        self._cache = (m1, m2, residual)
-        return out
-
-    # -- backward ---------------------------------------------------------------
 
     def backward(self, g: np.ndarray, input_grad: bool = True,
                  param_grads: bool = True):
@@ -390,102 +456,17 @@ class ModuleInstance:
         """
         if self._cache is None:
             raise StaleState(f"{self.spec.kind.value}: backward without retained forward")
-        s, k, cache = self.spec, self.spec.kind, self._cache
-        self._cache = None
+        cache, self._cache = self._cache, None
         param_grads = param_grads and bool(self.params)
         if not (input_grad or param_grads):
             return None
         g = np.asarray(g, dtype=np.float64)
-
-        if k is OpKind.Identity:
-            return g
-        if k in (OpKind.ReLU, OpKind.LeakyReLU):
-            return _relu_backward(g, cache[0], s.activation_slope)
-        if k in (OpKind.Conv, OpKind.PointwiseConv, OpKind.DWConv):
-            kernel_backward = _dwconv_backward if k is OpKind.DWConv else _conv_backward
-            dx, dw, db = kernel_backward(g, self.params["weight"].value, cache[0],
-                                         s.stride, s.padding, input_grad, param_grads)
-            if param_grads:
-                self.params["weight"].grad += dw
-                self.params["bias"].grad += db
-            return dx
-        if k is OpKind.MBConv:
-            m1, m2, residual = cache
-            d = self._children["project"].backward(g, param_grads=param_grads)
-            d = _relu_backward(d, m2, 0.0)
-            d = self._children["dw"].backward(d, param_grads=param_grads)
-            d = _relu_backward(d, m1, 0.0)
-            d = self._children["expand"].backward(d, input_grad, param_grads)
-            return d + g if residual and input_grad else d
-        if k is OpKind.AvgPool:
-            gk = g / (s.kernel * s.kernel)
-            # the scatter zeroes each slab's padding taps: one copy per offset
-            return _scatter_windows(lambda i, j: gk.copy(), cache[0], s.kernel, s.stride)
-        if k is OpKind.MaxPool:
-            shape, idx = cache
-            # offset-major, so each offset's slab t[i*k + j] is contiguous
-            t = np.zeros((s.kernel * s.kernel,) + g.shape)
-            np.put_along_axis(t, idx[None], g[None], axis=0)
-            return _scatter_windows(lambda i, j: t[i * s.kernel + j], shape,
-                                    s.kernel, s.stride)
-        if k in (OpKind.UpsampleNearest, OpKind.UpsampleBilinear):
-            dup = self._unproject(g, cache, input_grad, param_grads)
-            if dup is None:
-                return None
-            if k is OpKind.UpsampleBilinear:
-                mh, mw = cache[-2], cache[-1]
-                return np.einsum("hH,bchw,wW->bcHW", mh, dup, mw, optimize=True)
-            r = s.scale_factor
-            b, c, hh, ww = dup.shape
-            return dup.reshape(b, c, hh // r, r, ww // r, r).sum(axis=(3, 5))
-        if k is OpKind.DepthToSpace:
-            r = s.scale_factor
-            b, c, hh, ww = cache[0]
-            co = c // (r * r)
-            return (g.reshape(b, co, hh, r, ww, r)
-                     .transpose(0, 1, 3, 5, 2, 4)
-                     .reshape(b, c, hh, ww))
-        if k is OpKind.Linear:
-            flat, xshape = cache
-            g2 = g[:, :, 0, 0]
-            if param_grads:
-                self.params["weight"].grad += g2.T @ flat
-                self.params["bias"].grad += g2.sum(axis=0)
-            return (g2 @ self.params["weight"].value).reshape(xshape) if input_grad else None
-        raise ShapeMismatch(f"unhandled kind {k}")  # pragma: no cover
-
-    def _unproject(self, g, cache, input_grad, param_grads):
-        """Backward of the optional projection: the resampled map's gradient."""
-        if "weight" not in self.params:
-            return g
-        if param_grads:
-            up = cache[1]
-            self.params["weight"].grad += np.einsum("bohw,bchw->oc", g, up, optimize=True)
-            self.params["bias"].grad += g.sum(axis=(0, 2, 3))
-        if not input_grad:
-            return None
-        return np.einsum("oc,bohw->bchw", self.params["weight"].value, g, optimize=True)
+        return KERNELS[self.spec.kind][1](self, g, cache, input_grad, param_grads)
 
 
 def parameter_count(spec: OperatorSpec) -> int:
     """Number of learnable scalars an instance of `spec` carries."""
-    s, k = spec, spec.kind
-    if k is OpKind.Conv:
-        return s.out_channels * s.in_channels * s.kernel ** 2 + s.out_channels
-    if k is OpKind.DWConv:
-        return s.in_channels * s.kernel ** 2 + s.in_channels
-    if k is OpKind.PointwiseConv:
-        return s.out_channels * s.in_channels + s.out_channels
-    if k is OpKind.Linear:
-        return s.out_channels * s.in_channels + s.out_channels
-    if k is OpKind.MBConv:
-        h = s.hidden_channels
-        return (s.in_channels * h + h) + (h * s.kernel ** 2 + h) \
-            + (h * s.out_channels + s.out_channels)
-    if k in (OpKind.UpsampleNearest, OpKind.UpsampleBilinear) \
-            and s.out_channels != s.in_channels:
-        return s.out_channels * s.in_channels + s.out_channels
-    return 0
+    return sum(math.prod(shape) for shape in KINDS[spec.kind].params(spec).values())
 
 
 # ---------------------------------------------------------------------------

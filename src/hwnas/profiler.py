@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DeviceError, NotStackable
-from .graph import (CompactNet, OperatorSpec, OpKind, SuperNet, Task, TensorShape,
+from .graph import (KINDS, CompactNet, OperatorSpec, OpKind, SuperNet, Task, TensorShape,
                     canonical_key, output_shape, save_net, validate, walk)
 from .latency import LatencyTable, compact_latency
 
@@ -31,44 +31,15 @@ log = logging.getLogger(__name__)
 DEFAULT_STACK_N = 20
 DEFAULT_TRIALS = 5
 
-# Ops the simulated accelerator offloads to its slow scalar DSP.
+
 def is_dsp_bound(op: OperatorSpec) -> bool:
-    if op.kind is OpKind.LeakyReLU and op.activation_slope != 0:
-        return True
-    return op.kind in (OpKind.DepthToSpace, OpKind.UpsampleBilinear)
+    """Whether the simulated accelerator offloads `op` to its slow scalar DSP."""
+    return KINDS[op.kind].dsp_bound(op)
 
 
 def op_macs(op: OperatorSpec, in_shape: TensorShape) -> int:
     """Multiply-accumulate count (elementwise ops counted one per element)."""
-    out = output_shape(op, in_shape)
-    k, spatial = op.kind, out.height * out.width
-    if k is OpKind.Identity or k is OpKind.DepthToSpace:
-        return 0
-    if k is OpKind.Conv:
-        return op.kernel ** 2 * op.in_channels * op.out_channels * spatial
-    if k is OpKind.DWConv:
-        return op.kernel ** 2 * op.in_channels * spatial
-    if k is OpKind.PointwiseConv:
-        return op.in_channels * op.out_channels * spatial
-    if k is OpKind.MBConv:
-        h = op.hidden_channels
-        hw_in = in_shape.height * in_shape.width
-        return (op.in_channels * h * hw_in
-                + op.kernel ** 2 * h * spatial
-                + h * op.out_channels * spatial)
-    if k in (OpKind.AvgPool, OpKind.MaxPool):
-        return op.kernel ** 2 * op.in_channels * spatial
-    if k in (OpKind.ReLU, OpKind.LeakyReLU):
-        return in_shape.numel
-    if k is OpKind.UpsampleNearest:
-        proj = op.in_channels * op.out_channels * spatial if op.out_channels != op.in_channels else 0
-        return out.numel + proj
-    if k is OpKind.UpsampleBilinear:
-        proj = op.in_channels * op.out_channels * spatial if op.out_channels != op.in_channels else 0
-        return 4 * out.numel + proj
-    if k is OpKind.Linear:
-        return op.in_channels * op.out_channels
-    raise ValueError(f"unhandled kind {k}")  # pragma: no cover
+    return KINDS[op.kind].macs(op, in_shape, output_shape(op, in_shape))
 
 
 _BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
@@ -80,10 +51,6 @@ def _check_range(device, names, bound: str) -> None:
         value = getattr(device, name)
         if not _BOUNDS[bound](value):
             raise ValueError(f"{name} must be {bound}, got {value!r}")
-
-
-_CHANNEL_COMPUTE = {OpKind.Conv, OpKind.DWConv, OpKind.PointwiseConv,
-                    OpKind.MBConv, OpKind.Linear}
 
 
 @dataclass
@@ -124,7 +91,7 @@ class SimulatedVPU:
         out = output_shape(op, in_shape)
         macs = op_macs(op, in_shape)
         util = 1.0
-        if op.kind in _CHANNEL_COMPUTE:
+        if KINDS[op.kind].tiled:
             g = self.channel_granularity
             util = op.out_channels / (math.ceil(op.out_channels / g) * g)
         compute_ms = macs / (self.clock_ghz * 1e6 * self.macs_per_cycle * util)

@@ -61,16 +61,8 @@ def brute_force_accuracies(cls_supernet, cls_data):
     """Test accuracy of every compact net in the 27-net space, fixed seed."""
     table = {}
     for chosen in itertools.product(range(3), repeat=3):
-        layers = (tuple(cls_supernet.stem)
-                  + tuple(st.candidates[j]
-                          for st, j in zip(cls_supernet.stages, chosen))
-                  + tuple(cls_supernet.head))
-        net = CompactNet(task=cls_supernet.task,
-                         input_shape=cls_supernet.input_shape, layers=layers,
-                         num_classes=cls_supernet.num_classes,
-                         chosen_indices=chosen)
-        model = train_compact(net, cls_data.train, steps=300, batch_size=32,
-                              lr=0.05, seed=0)
+        model = train_compact(cls_supernet.path(chosen), cls_data.train,
+                              steps=300, batch_size=32, lr=0.05, seed=0)
         table[chosen] = accuracy(model, cls_data.test)
     return table
 

@@ -269,6 +269,7 @@ def test_out_of_range_flag_exit_2(command, flag, value, tmp_path, capsys):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_costmodel_overflow_is_nonfinite_loss(tmp_path, capsys):
     """A learning rate that blows the weights up without a non-finite loss
     still saves no model: its MAPE overflows."""

@@ -188,15 +188,33 @@ def test_parameter_count_mbconv_formula():
     assert parameter_count(op) == expected
 
 
+# (op, learnable scalars)
+PARAMETER_COUNTS = [
+    (OperatorSpec(OpKind.Conv, 4, 8, kernel=3), 8 * 4 * 9 + 8),
+    (OperatorSpec(OpKind.DWConv, 4, 4, kernel=5), 4 * 25 + 4),
+    (OperatorSpec(OpKind.PointwiseConv, 4, 6, stride=2), 6 * 4 + 6),
+    (OperatorSpec(OpKind.MBConv, 4, 6, kernel=3, expand_ratio=Fraction(2)),
+     (4 * 8 + 8) + (8 * 9 + 8) + (8 * 6 + 6)),
+    (OperatorSpec(OpKind.AvgPool, 4, 4, kernel=3), 0),
+    (OperatorSpec(OpKind.MaxPool, 4, 4, kernel=3, stride=2), 0),
+    (OperatorSpec(OpKind.Identity, 4, 4), 0),
+    (OperatorSpec(OpKind.ReLU, 4, 4), 0),
+    (OperatorSpec(OpKind.LeakyReLU, 4, 4, activation_slope=0.1), 0),
+    (OperatorSpec(OpKind.UpsampleNearest, 4, 4, scale_factor=2), 0),
+    (OperatorSpec(OpKind.UpsampleNearest, 4, 3, scale_factor=2), 3 * 4 + 3),
+    (OperatorSpec(OpKind.UpsampleBilinear, 4, 4, scale_factor=2), 0),
+    (OperatorSpec(OpKind.UpsampleBilinear, 4, 6, scale_factor=3), 6 * 4 + 6),
+    (OperatorSpec(OpKind.DepthToSpace, 8, 2, scale_factor=2), 0),
+    (OperatorSpec(OpKind.Linear, 10, 3), 3 * 10 + 3),
+]
+
+
 def test_parameter_count_matches_instance():
-    for op in (OperatorSpec(OpKind.Conv, 4, 8, kernel=3),
-               OperatorSpec(OpKind.DWConv, 4, 4, kernel=5),
-               OperatorSpec(OpKind.Linear, 10, 3),
-               OperatorSpec(OpKind.MBConv, 4, 6, kernel=3,
-                            expand_ratio=Fraction(2))):
+    assert {op.kind for op, _ in PARAMETER_COUNTS} == set(OpKind)
+    for op, count in PARAMETER_COUNTS:
         inst = _inst(op)
         total = sum(p.value.size for p in inst.params.values())
-        assert parameter_count(op) == total, op.kind
+        assert parameter_count(op) == total == count, op
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 from hwnas.errors import NotStackable
 from hwnas.graph import OperatorSpec, OpKind, TensorShape
 from hwnas.profiler import (SimulatedVPU, build_lut, calibrate,
-                            enumerate_search_space, measure_stacked_mixed,
-                            measure_stacked_same)
+                            enumerate_search_space, is_dsp_bound,
+                            measure_stacked_mixed, measure_stacked_same, op_macs)
 
 
 class ConstantCostDevice:
@@ -25,6 +25,58 @@ class ConstantCostDevice:
 
 def _conv(c=8):
     return OperatorSpec(OpKind.Conv, c, c, kernel=3)
+
+
+# ---------------------------------------------------------------------------
+# per-kind cost facts: MACs, DSP offload, closed-form device cost
+# ---------------------------------------------------------------------------
+
+S, K, T = OperatorSpec, OpKind, TensorShape
+
+# (op, input shape, MACs, DSP-bound, SimulatedVPU().op_cost_ms)
+COST_FACTS = [
+    (S(K.Conv, 8, 12, kernel=3), T(8, 16, 16), 221184, False, 0.0018410267857142857),
+    (S(K.Conv, 8, 16, kernel=5, stride=2), T(8, 15, 15), 204800, False,
+     0.001250584193638393),
+    (S(K.DWConv, 16, 16, kernel=3, stride=2), T(16, 16, 16), 9216, False,
+     0.0002467410714285714),
+    (S(K.PointwiseConv, 16, 24), T(16, 8, 8), 24576, False, 0.0002805133928571429),
+    (S(K.PointwiseConv, 16, 32, stride=2), T(16, 8, 8), 8192, False,
+     0.00010430803571428571),
+    (S(K.MBConv, 16, 24, kernel=3, expand_ratio=2), T(16, 8, 8), 100352, False,
+     0.0008443229166666666),
+    (S(K.MBConv, 16, 32, kernel=5, stride=2, expand_ratio=4), T(16, 16, 16), 495616, False,
+     0.0030000892857142856),
+    (S(K.AvgPool, 8, 8, kernel=3, stride=2), T(8, 9, 9), 1800, False, 4.239327566964286e-05),
+    (S(K.MaxPool, 8, 8, kernel=3), T(8, 8, 8), 4608, False, 6.477678571428571e-05),
+    (S(K.Identity, 8, 8), T(8, 8, 8), 0, False, 0.0),
+    (S(K.ReLU, 8, 8), T(8, 8, 8), 512, False, 4.191964285714286e-05),
+    (S(K.LeakyReLU, 8, 8), T(8, 8, 8), 512, False, 4.191964285714286e-05),
+    (S(K.LeakyReLU, 8, 8, activation_slope=0.1), T(8, 8, 8), 512, True,
+     0.0004191964285714286),
+    (S(K.UpsampleNearest, 8, 8, scale_factor=2), T(8, 8, 8), 2048, False,
+     0.00010908482142857143),
+    (S(K.UpsampleNearest, 8, 4, scale_factor=2), T(8, 8, 8), 9216, False,
+     0.00011002232142857143),
+    (S(K.UpsampleBilinear, 8, 8, scale_factor=2), T(8, 8, 8), 8192, True,
+     0.0014337053571428574),
+    (S(K.UpsampleBilinear, 8, 4, scale_factor=3), T(8, 8, 8), 27648, True,
+     0.0026170758928571428),
+    (S(K.DepthToSpace, 16, 4, scale_factor=2), T(16, 8, 8), 0, True, 0.00078125),
+    (S(K.Linear, 16, 10), T(4, 2, 2), 160, False, 2.4203927176339287e-06),
+]
+
+
+def test_cost_facts_cover_every_kind():
+    assert {op.kind for op, *_ in COST_FACTS} == set(OpKind)
+
+
+@pytest.mark.parametrize("op,shape,macs,dsp,cost_ms", COST_FACTS,
+                         ids=[f"{i}-{c[0].kind.value}" for i, c in enumerate(COST_FACTS)])
+def test_cost_facts(op, shape, macs, dsp, cost_ms):
+    assert op_macs(op, shape) == macs
+    assert is_dsp_bound(op) is dsp
+    assert SimulatedVPU().op_cost_ms(op, shape) == cost_ms
 
 
 # ---------------------------------------------------------------------------
