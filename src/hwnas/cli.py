@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -21,8 +20,6 @@ from .graph import CompactNet, SuperNet, Task, load_net, save_net, validate
 from .jsonio import field, from_fields, numbers, read_object, write_object
 from .latency import DEFAULT_CLOCK_GHZ, compact_latency, load_lut, save_lut
 from .nncore import load_checkpoint, save_checkpoint
-
-DEVICE_CONFIG_ENV = "HWNAS_DEVICE_CONFIG"
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +78,7 @@ def _lower_bound(low, strict=False):
 def _load_device(spec: str):
     """'sim' for defaults, or a JSON config file ({'type': 'sim'|'command'})."""
     if spec == "sim":
-        path = os.environ.get(DEVICE_CONFIG_ENV)
-        if not path:
-            return profiler.SimulatedVPU()
-        spec = path
+        return profiler.SimulatedVPU()
     doc = read_object(spec)
     kind = doc.pop("type", "sim")
     devices = {"sim": profiler.SimulatedVPU, "command": profiler.ExternalCommandRunner}
@@ -218,6 +212,9 @@ def cmd_costmodel_train(args):
         records = costmodel.load_records(args.records)
     else:
         device = _load_device(args.device)
+        if not isinstance(device, profiler.SimulatedVPU):
+            raise HwnasError("--simulate needs the sim device; give records measured "
+                             "on another device through --records")
         records = costmodel.simulate_records(device, args.simulate, seed=args.seed,
                                              clock_ghz=args.clock_ghz)
         if args.save_records:

@@ -44,10 +44,6 @@ class StaleState(HwnasError):
 class NonFiniteLoss(HwnasError):
     """Training produced a NaN/inf loss."""
 
-    def __init__(self, message, snapshot=None):
-        super().__init__(message)
-        self.snapshot = snapshot or {}
-
 
 class NotStackable(HwnasError):
     """Operator does not preserve its input shape, cannot self-stack."""

@@ -114,11 +114,6 @@ class RoundRecord:
 class SearchHistory:
     records: list = field(default_factory=list)
 
-    def append(self, rec: RoundRecord):
-        if self.records and rec.round <= self.records[-1].round:
-            raise ValueError("round indices must be monotone")
-        self.records.append(rec)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         if not self.records:
@@ -206,15 +201,29 @@ class CompactNetModel:
         return grads
 
 
-def _task_loss(task: Task, output, target):
-    if task is Task.Classification:
-        return loss_ce(output, target)
-    return loss_mse(output, target)
+def _batch_loss(model: CompactNetModel, data, batch_size: int, rng, phase: str,
+                chosen=(), keep_stage_outputs: bool = False):
+    """The task's loss of a random batch of `data` on path `chosen`, and its gradient.
 
-
-def _sample_batch(x, y, batch_size, rng):
+    Raises NonFiniteLoss naming the training `phase` when the loss is not finite.
+    """
+    x, y = data
     idx = rng.integers(0, x.shape[0], size=batch_size)
-    return x[idx], y[idx]
+    out = model.forward(x[idx], chosen, keep_stage_outputs)
+    loss_fn = loss_ce if model.net.task is Task.Classification else loss_mse
+    loss, g = loss_fn(out, y[idx])
+    if not np.isfinite(loss):
+        raise NonFiniteLoss(f"non-finite loss during {phase}")
+    return loss, g
+
+
+def _sgd_batch(model: CompactNetModel, data, batch_size: int, rng, phase: str,
+               lr: float, weight_decay: float, chosen=()) -> float:
+    """One SGD step of path `chosen` on a random batch of `data`; returns its loss."""
+    loss, g = _batch_loss(model, data, batch_size, rng, phase, chosen)
+    model.backward(g)
+    sgd_step(model.path_parameters(), lr, weight_decay)
+    return loss
 
 
 @dataclass
@@ -223,6 +232,7 @@ class SearchState:
     arch: ArchParams
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging step ends in NonFiniteLoss
 def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
                  lut: LatencyTable):
     """Alternating weight/architecture optimization; returns (state, history).
@@ -236,29 +246,14 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
     alphas = [np.zeros(len(st.candidates)) for st in supernet.stages]
     history = SearchHistory()
     rng = np.random.default_rng(cfg.seed)
-    task = supernet.task
-    x_tr, y_tr = train_data
-    x_va, y_va = val_data
-
-    def check_finite(loss, ctx):
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"non-finite loss during {ctx}",
-                                snapshot={"alphas": [a.tolist() for a in alphas],
-                                          "context": ctx, "loss": loss})
 
     for rnd in range(cfg.rounds):
         # -- weight updates on the training split: sampled single path only --
         train_losses = []
         for _ in range(cfg.weight_steps_per_round):
-            probs = [path_probs(a) for a in alphas]
-            gates = [int(np.argmax(sample_gate(p, rng))) for p in probs]
-            xb, yb = _sample_batch(x_tr, y_tr, cfg.batch_size, rng)
-            out = model.forward(xb, gates)
-            ce, g = _task_loss(task, out, yb)
-            check_finite(ce, "weight step")
-            train_losses.append(ce)
-            model.backward(g)
-            sgd_step(model.path_parameters(), cfg.lr_weights, weight_decay=cfg.lambda1)
+            gates = [int(np.argmax(sample_gate(path_probs(a), rng))) for a in alphas]
+            train_losses.append(_sgd_batch(model, train_data, cfg.batch_size, rng,
+                                           "weight step", cfg.lr_weights, cfg.lambda1, gates))
 
         # -- architecture updates on the validation split: weights frozen --
         l2 = weight_l2(model.named_parameters().values())
@@ -266,10 +261,8 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
         for _ in range(cfg.arch_steps_per_round):
             probs = [path_probs(a) for a in alphas]
             gates = [int(np.argmax(sample_gate(p, rng))) for p in probs]
-            xb, yb = _sample_batch(x_va, y_va, cfg.batch_size, rng)
-            out = model.forward(xb, gates, keep_stage_outputs=True)
-            ce, g = _task_loss(task, out, yb)
-            check_finite(ce, "arch step")
+            ce, g = _batch_loss(model, val_data, cfg.batch_size, rng, "arch step", gates,
+                                keep_stage_outputs=True)
             e_lat = expected_network_latency(list(zip(probs, f_vectors)), fixed_ms)
             val_losses.append(total_loss(ce, l2, e_lat, cfg))
             gate_scalars = model.gate_grads(g)
@@ -281,7 +274,7 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
 
         probs = [path_probs(a) for a in alphas]
         e_lat = expected_network_latency(list(zip(probs, f_vectors)), fixed_ms)
-        history.append(RoundRecord(
+        history.records.append(RoundRecord(
             round=rnd,
             train_loss=float(np.mean(train_losses)),
             val_loss=float(np.mean(val_losses)),
@@ -312,21 +305,15 @@ def derive_compact(supernet: SuperNet, arch: ArchParams) -> CompactNet:
 # Compact-net training (retraining from scratch; no weight inheritance)
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging step ends in NonFiniteLoss
 def train_compact(net: CompactNet, train_data, steps: int, batch_size: int = 16,
                   lr: float = 0.05, weight_decay: float = 0.0,
                   seed: int = 0) -> CompactNetModel:
+    """Train `net` from freshly initialised weights by SGD on random batches."""
     model = CompactNetModel(net, seed=seed)
     rng = np.random.default_rng(seed)
-    x_tr, y_tr = train_data
-    params = list(model.named_parameters().values())
     for _ in range(steps):
-        xb, yb = _sample_batch(x_tr, y_tr, batch_size, rng)
-        out = model.forward(xb)
-        loss, g = _task_loss(net.task, out, yb)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss("non-finite loss while training compact net")
-        model.backward(g)
-        sgd_step(params, lr, weight_decay)
+        _sgd_batch(model, train_data, batch_size, rng, "retraining", lr, weight_decay)
     return model
 
 

@@ -10,17 +10,25 @@ import pytest
 
 import hwnas
 from hwnas import costmodel
-from hwnas.cli import main
+from hwnas.cli import content_hash, main
 from hwnas.errors import DeviceError
 from hwnas.graph import (CompactNet, OperatorSpec, OpKind, Task, TensorShape,
                          save_net)
 from hwnas.jsonio import array_to_json
 from hwnas.latency import LatencyTable, load_lut, save_lut
 from hwnas.profiler import ExternalCommandRunner
+from hwnas.spaces import toy_classification_supernet
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_module(*argv):
+    """`python -m hwnas.cli` in a new interpreter: all it prints, as a user sees it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hwnas.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "hwnas.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +163,7 @@ def test_malformed_input_exit_1_without_traceback(case, tmp_path):
     name, doc, argv = MALFORMED[case]
     path = tmp_path / name
     path.write_text(json.dumps(doc))
-    argv = [a.format(file=path, tmp=tmp_path) for a in argv]
-    env = dict(os.environ, PYTHONPATH=str(Path(hwnas.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "hwnas.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_module(*[a.format(file=path, tmp=tmp_path) for a in argv])
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
@@ -207,10 +212,7 @@ def test_malformed_file_exit_1_without_traceback(case, tmp_path):
     files, argv = MALFORMED_FILES[case]
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
-    argv = [a.format(tmp=tmp_path) for a in argv]
-    env = dict(os.environ, PYTHONPATH=str(Path(hwnas.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "hwnas.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_module(*[a.format(tmp=tmp_path) for a in argv])
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
@@ -278,6 +280,53 @@ def test_costmodel_overflow_is_nonfinite_loss(tmp_path, capsys):
                    "--seed", "3", "--lr", "1e30", "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith("error: cost-model predictions overflow")
     assert not out.exists()
+
+
+# Learning rates at which training overflows to a non-finite loss.
+DIVERGING = {
+    "search run": ["search", "run", "--net", "toy-sr", "--lut", "{tmp}/sr.lut.json",
+                   "--rounds", "1", "--lr-weights", "50", "--data-samples", "8",
+                   "--batch-size", "2", "--out-dir", "{tmp}/run"],
+    "train-compact": ["train-compact", "--net", "{tmp}/conv.net.json", "--steps", "20",
+                      "--lr", "1e6", "--data-samples", "40", "--out", "{tmp}/w.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DIVERGING))
+def test_divergence_prints_only_its_error_line(command, tmp_path):
+    """The overflow that leads to a non-finite loss prints no RuntimeWarning."""
+    assert run_cli("lut", "build", "--net", "toy-sr",
+                   "--out", str(tmp_path / "sr.lut.json")) == 0
+    save_net(toy_classification_supernet().path((0, 0, 0)), tmp_path / "conv.net.json")
+    proc = run_module(*[a.format(tmp=tmp_path) for a in DIVERGING[command]])
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: non-finite loss")
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_costmodel_simulate_on_command_device_exit_1(tmp_path):
+    """Only the simulator has a closed-form per-op cost to draw records from."""
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps({"type": "command", "command_template": "true"}))
+    proc = run_module("costmodel", "train", "--device", str(dev), "--simulate", "60",
+                      "--out", str(tmp_path / "m.json"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: --simulate needs the sim device")
+    assert "--records" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_device_sim_ignores_environment(tmp_path, monkeypatch):
+    """`--device sim` is the default simulator whatever the environment holds."""
+    noisy = tmp_path / "dev.json"
+    noisy.write_text(json.dumps({"type": "sim", "noise_sigma_rel": 0.05, "seed": 7}))
+    monkeypatch.delenv("HWNAS_DEVICE_CONFIG", raising=False)
+    assert run_cli("lut", "build", "--net", "toy-classification", "--device", "sim",
+                   "--out", str(tmp_path / "a.lut.json")) == 0
+    monkeypatch.setenv("HWNAS_DEVICE_CONFIG", str(noisy))
+    assert run_cli("lut", "build", "--net", "toy-classification", "--device", "sim",
+                   "--out", str(tmp_path / "b.lut.json")) == 0
+    assert content_hash(tmp_path / "a.lut.json") == content_hash(tmp_path / "b.lut.json")
 
 
 def test_argument_errors_exit_2():

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hwnas.errors import NonFiniteLoss
 from hwnas.graph import (MixedStage, OperatorSpec, OpKind, SuperNet, Task,
                          TensorShape)
 from hwnas.latency import LatencyTable, canonical_key
 from hwnas.search import (ArchParams, SearchConfig, arch_grad, derive_compact,
-                          path_probs, sample_gate, total_loss, train_search,
-                          weight_l2)
+                          path_probs, sample_gate, total_loss, train_compact,
+                          train_search, weight_l2)
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +239,25 @@ def test_history_csv_header(toy_supernet):
     header = hist.to_csv().splitlines()[0]
     assert header.startswith("round,train_loss,val_loss,e_latency_ms")
     assert "stage0_cand0" in header
+
+
+# ---------------------------------------------------------------------------
+# divergence
+# ---------------------------------------------------------------------------
+
+def test_search_divergence_is_nonfinite_loss():
+    from hwnas.datasets import DatasetSpec, generate_sr_dataset
+    from hwnas.spaces import toy_sr_supernet
+    net = toy_sr_supernet()
+    ds = generate_sr_dataset(DatasetSpec(Task.SuperResolution, 8, 8, sr_scale=2, seed=42))
+    cfg = SearchConfig(rounds=1, lr_weights=50, batch_size=2)
+    with pytest.raises(NonFiniteLoss, match="^non-finite loss"):
+        train_search(net, ds.train, ds.val, cfg, _uniform_lut(net))
+
+
+def test_retrain_divergence_is_nonfinite_loss():
+    from hwnas.spaces import toy_classification_supernet
+    net = toy_classification_supernet().path((0, 0, 0))
+    ds = _toy_data(n=40, seed=42)
+    with pytest.raises(NonFiniteLoss, match="^non-finite loss"):
+        train_compact(net, ds.train, steps=20, lr=1e6)
