@@ -10,11 +10,21 @@ gradient (the first layer of a net) or the parameter gradients (architecture
 steps, where weights are frozen). Stride-1 Conv, DWConv and PointwiseConv
 build their forward window matrix from flat runs of whole maps, one copy per
 window offset, and every window-gradient scatter (those three, strided convs
-and the pools) adds flat runs the same way (see the window helpers). Every
-value a kernel computes, and the memory layout of its output and input
+and the pools) adds flat runs the same way (see the window helpers). The
+Conv, DWConv and PointwiseConv backward (any stride) call the matmuls that
+numpy 2.4's einsum(optimize=True) makes, on operands with its values and
+layout: the window operand of the weight gradient is gathered with one
+np.take from a zero-padded copy, or, where einsum's reshape of the window
+view is a view, is that view (see _window_operand).
+
+Every value a kernel computes, and the memory layout of its output and input
 gradient, is bitwise equal to the plain einsum formulation (sliding windows,
 one einsum per product, window gradients scattered in i-then-j order), so
 seeded runs stay reproducible; tests/test_kernels.py holds that reference.
+One known exception, which no built-in space reaches: maps one pixel wide at
+batch 1, where einsum drops the size-1 axes. There the weight gradient
+differs from the reference in signed zeros (1x1 maps) or in the last bit
+(DWConv on 5x1 maps), as it did with the einsum-based backward.
 """
 
 from __future__ import annotations
@@ -112,6 +122,51 @@ def _window_matrix(x, k):
     return cols
 
 
+def _padded(x, pad):
+    """A zero-padded C-contiguous copy of [A,M,H,W] x: [A,M,H+2p,W+2p]."""
+    a, m, h, w = x.shape
+    xp = np.zeros((a, m, h + 2 * pad, w + 2 * pad))
+    xp[:, :, pad:pad + h, pad:pad + w] = x
+    return xp
+
+
+def _window_operand(xp, k, stride, depthwise=False):
+    """The window operand einsum hands to matmul for a weight gradient.
+
+    xp is a zero-padded [A,M,Hp,Wp] input. A conv (xp [B,C,...]) gets its
+    stride-s windows as [A*Ho*Wo, M*k*k] in (a,h,w,m,i,j) order, a depthwise
+    conv (xp [C,B,...]) as [A, M*Ho*Wo, k*k] in (a,m,h,w,i,j) order. Where
+    that reshape of the window view is a view, einsum hands BLAS the strided
+    view, and so does this. Otherwise einsum copies the view k elements at a
+    time; here one np.take gathers the same C-contiguous array through a flat
+    offset index built for the call. A depthwise xp is channel-major,
+    einsum's batch-major: the two layouts agree when B or C is 1, and
+    otherwise the reshape is a copy in both unless the output is one pixel.
+    """
+    a, m, hp, wp = xp.shape
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2:4]
+    if depthwise:
+        shape = (a, m * ho * wo, k * k)
+    else:
+        win, shape = win.transpose(0, 2, 3, 1, 4, 5), (a * ho * wo, m * k * k)
+    try:
+        return win.reshape(shape, copy=False)
+    except ValueError:
+        pass
+    pixels = (np.arange(ho)[:, None] * (stride * wp) + np.arange(wo) * stride).reshape(-1)
+    taps = (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
+    maps = np.arange(m) * (hp * wp)
+    if depthwise:
+        index = (maps[:, None] + pixels).reshape(-1, 1) + taps
+    else:
+        index = pixels[:, None] + (maps[:, None] + taps).reshape(-1)
+    out = np.empty((a,) + index.shape)
+    # every index is in range; "clip" only skips take's buffered bounds check
+    np.take(xp.reshape(a, -1), index, axis=1, out=out, mode="clip")
+    return out.reshape(shape)
+
+
 def _scatter_windows(window_grad, shape, k, stride, channel_major=False):
     """Adjoint of the window gather: the [B,C,H,W] sum, in i-then-j order, of
     window_grad(i, j), the [B,C,Ho,Wo] gradient at window offset (i, j)
@@ -119,7 +174,7 @@ def _scatter_windows(window_grad, shape, k, stride, channel_major=False):
 
     Each offset is one add of flat runs. Its padding taps are zeroed in the
     window gradient first, so window_grad must return an array this function
-    may overwrite. A stride-s gradient is first spread over a zeroed
+    may overwrite. A stride-s gradient is first spread over one zeroed
     [...,H,W] slab, since output (y, x) at stride s is stride-1 output
     (s*y, s*x). Every add the reference does not make adds +0.0, and the
     sums start at +0.0 and so never hold -0.0: each such add leaves the sum
@@ -130,11 +185,12 @@ def _scatter_windows(window_grad, shape, k, stride, channel_major=False):
     a, m, h, w = shape
     acc, maps = _flat_runs(shape, k)
     n = m * h * w
+    # each offset overwrites the strided entries; the others only ever get zeros
+    spread = np.zeros(shape) if stride > 1 else None
     for i in range(k):
         for j in range(k):
             slab = window_grad(i, j)
             if stride > 1:
-                spread = np.zeros(shape)
                 spread[..., ::stride, ::stride] = slab
                 slab = spread
             _zero_padding_taps(slab, i, j, k)
@@ -180,16 +236,20 @@ def _conv_forward(x, w, b, stride, pad):
 
 def _conv_backward(g, w, x, stride, pad, input_grad, param_grads):
     """(dx, dw, db); dx is None without input_grad, dw and db without param_grads."""
-    k = w.shape[-1]
+    o, c, k = w.shape[0], w.shape[1], w.shape[-1]
     dx = dw = db = None
+    # the two matmuls einsum makes, on equal operands
+    go = g.transpose(1, 0, 2, 3).reshape(o, -1)
     if param_grads:
-        dw = np.einsum("bchwij,bohw->ocij", _windows(x, k, stride, pad), g, optimize=True)
+        # the window operand is freed before t is built
+        dw = (go @ _window_operand(_padded(x, pad), k, stride)).reshape(w.shape)
         db = g.sum(axis=(0, 2, 3))
     if input_grad:
         # channel-major, so each window offset's slab t[:, i, j] is one
         # contiguous [B,H,W] run per channel
-        t = np.einsum("bohw,ocij->cijbhw", g, w, optimize=True)
-        n, c, h, ww = x.shape
+        n, _, h, ww = x.shape
+        t = (w.transpose(1, 2, 3, 0).reshape(c * k * k, o) @ go).reshape(
+            (c, k, k, n) + g.shape[2:])
         dx = _scatter_windows(lambda i, j: t[:, i, j], (c, n, h, ww), k, stride,
                               channel_major=True)
     return dx, dw, db
@@ -211,14 +271,19 @@ def _dwconv_backward(g, w, x, stride, pad, input_grad, param_grads):
     c, k = w.shape[0], w.shape[-1]
     dx = dw = db = None
     if param_grads:
-        # per channel: g [1, B*Ho*Wo] @ windows [B*Ho*Wo, k*k]
-        win = _windows(x, k, stride, pad)
-        cols = win.transpose(1, 0, 2, 3, 4, 5).reshape(c, -1, k * k)
+        # the batched matmul einsum makes: per channel, g [1, B*Ho*Wo] @
+        # windows [B*Ho*Wo, k*k]
+        cols = _window_operand(_padded(x.transpose(1, 0, 2, 3), pad), k, stride,
+                               depthwise=True)
         dw = (g.transpose(1, 0, 2, 3).reshape(c, 1, -1) @ cols).reshape(w.shape)
+        del cols  # before the scatter allocates
         db = g.sum(axis=(0, 2, 3))
     if input_grad:
-        dx = _scatter_windows(lambda i, j: g * w[None, :, i, j, None, None],
-                              x.shape, k, stride)
+        # every window offset's product goes into the same buffer
+        prod = np.empty(g.shape)
+        dx = _scatter_windows(
+            lambda i, j: np.multiply(g, w[None, :, i, j, None, None], out=prod),
+            x.shape, k, stride)
     return dx, dw, db
 
 

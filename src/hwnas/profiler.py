@@ -247,7 +247,7 @@ class CalibrationReport:
 
     predicted_ms: tuple
     measured_ms: tuple
-    mape_percent: float
+    mape_percent: Optional[float]
     pearson: Optional[float]
     note: str = ""
 
@@ -272,11 +272,16 @@ def calibrate(device, supernet: SuperNet, lut: LatencyTable, num_samples: int,
         measured.append(statistics.median(device.run(net, trials)))
     predicted = np.array(predicted)
     measured = np.array(measured)
-    mape = float(np.mean(np.abs(predicted - measured) / measured) * 100.0)
-    note = ""
+    notes = []
+    if np.any(measured == 0):
+        mape = None
+        notes.append("MAPE undefined (a measured latency is 0 ms)")
+    else:
+        mape = float(np.mean(np.abs(predicted - measured) / measured) * 100.0)
     if num_samples < 2 or np.std(predicted) == 0 or np.std(measured) == 0:
-        pearson, note = None, "correlation undefined (need >= 2 distinct points)"
+        pearson = None
+        notes.append("correlation undefined (need >= 2 distinct points)")
     else:
         pearson = float(np.corrcoef(predicted, measured)[0, 1])
     return CalibrationReport(predicted_ms=tuple(predicted), measured_ms=tuple(measured),
-                             mape_percent=mape, pearson=pearson, note=note)
+                             mape_percent=mape, pearson=pearson, note="; ".join(notes))

@@ -500,3 +500,28 @@ def test_calibrate_and_report_emit_svg(tmp_path):
     svg = (rep / "calibration_scatter.svg").read_text()
     assert svg.startswith("<svg")
     assert "circle" in svg
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_calibrate_zero_latency_device_reports_null_mape(tmp_path):
+    """MAPE divides by the measured latency: a device that reports 0 ms gets a
+    null MAPE with a note, in strict JSON, and no RuntimeWarning."""
+    lut = tmp_path / "toy.lut.json"
+    assert run_cli("lut", "build", "--net", "toy-classification", "--out", str(lut)) == 0
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps({"type": "command", "command_template": "echo 0"}))
+    prefix = tmp_path / "cal" / "c"
+    proc = run_module("--json", "calibrate", "--net", "toy-classification",
+                      "--lut", str(lut), "--device", str(dev), "--samples", "3",
+                      "--trials", "1", "--out-prefix", str(prefix))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    for doc in (_strict_json(proc.stdout), _strict_json(prefix.with_suffix(".json").read_text())):
+        assert doc["mape_percent"] is None
+        assert doc["pearson"] is None
+        assert "MAPE undefined" in doc["note"]

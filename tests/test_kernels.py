@@ -130,6 +130,17 @@ CASES += [
     (OperatorSpec(OpKind.DWConv, 6, 6, kernel=3, stride=2), TensorShape(6, 9, 9), 2),
     (OperatorSpec(OpKind.PointwiseConv, 5, 3), TensorShape(5, 9, 9), 8),
 ]
+# Non-square maps and batch 1: a reshape of a batch-1 or one-row window view
+# can be a view, not a copy, and BLAS then reads strided memory.
+EDGE_CASES = [
+    (OperatorSpec(OpKind.Conv, 4, 6, kernel=3), TensorShape(4, 8, 11), 3),
+    (OperatorSpec(OpKind.Conv, 4, 6, kernel=5, stride=2), TensorShape(4, 7, 10), 2),
+    (OperatorSpec(OpKind.DWConv, 6, 6, kernel=5), TensorShape(6, 6, 9), 1),
+    (OperatorSpec(OpKind.DWConv, 6, 6, kernel=3, stride=2), TensorShape(6, 9, 6), 1),
+    (OperatorSpec(OpKind.PointwiseConv, 5, 3), TensorShape(5, 4, 9), 1),
+    (OperatorSpec(OpKind.Conv, 3, 16, kernel=3), TensorShape(3, 8, 8), 1),
+]
+CASES += EDGE_CASES
 
 # Cases whose input and output gradient are a third +0.0 and -0.0: a kernel
 # that adds a signed zero where the reference adds nothing shows up only in
@@ -141,7 +152,7 @@ SIGNED_ZERO_CASES = [
     (OperatorSpec(OpKind.Conv, 4, 6, kernel=5, stride=2), TensorShape(4, 9, 9), 8),
     (OperatorSpec(OpKind.DWConv, 6, 6, kernel=5), TensorShape(6, 9, 9), 8),
     (OperatorSpec(OpKind.PointwiseConv, 5, 3), TensorShape(5, 9, 9), 8),
-]
+] + EDGE_CASES
 
 
 def _case_id(case):
