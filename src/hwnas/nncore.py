@@ -8,9 +8,14 @@ backward) pair; its parameter shapes and children come from `graph.KINDS`.
 A backward pass computes only what its caller reads: it can skip the input
 gradient (the first layer of a net) or the parameter gradients (architecture
 steps, where weights are frozen). Stride-1 Conv, DWConv and PointwiseConv
-build their forward window matrix from flat runs of whole maps, one copy per
-window offset, and every window-gradient scatter (those three, strided convs
-and the pools) adds flat runs the same way (see the window helpers). The
+build their forward window matrix from one flat run that holds every map
+back to back, one copy per window offset, and every window-gradient scatter
+(those three, strided convs and the pools) adds into such a run, one
+contiguous 1-D add per offset (see the window helpers): numpy runs an
+elementwise op several times slower on a 2-D view whose rows are not back to
+back. For the same reason the DWConv input-gradient products read a
+channel-major contiguous copy of the output gradient, not the gradient the
+next layer hands down, which is usually the crop of a padded buffer. The
 Conv, DWConv and PointwiseConv backward (any stride) call the matmuls that
 numpy 2.4's einsum(optimize=True) makes, on operands with its values and
 layout: the window operand of the weight gradient is gathered with one
@@ -69,15 +74,17 @@ def _windows(x, k, stride, pad, pad_value=0.0):
     return sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
 
 
-# Stride-1 windows over flat runs. Every spatial op pads by p = (k-1)//2.
-# The [H,W] maps that follow one index of the leading axis (a channel of the
-# window matrix, a channel or a sample of the scatter) are stored back to
-# back as one flat run, with p*W + p zeros at each end and no padding rows or
-# columns. Window offset (i, j) of every output pixel is then the flat shift
-# i*W + j, so one copy or add moves a whole run. A shift makes the taps that
-# fall in the padding read or write the neighbouring row or map instead:
-# |i - p| rows at the top or bottom of each map and |j - p| columns at its
-# left or right. Those entries are set to +0.0.
+# Stride-1 windows over one flat run. Every spatial op pads by p = (k-1)//2.
+# The [H,W] maps of an [A,M,H,W] array are stored back to back, in (a, m)
+# order, as one flat run with p*W + p zeros at each end and no padding rows
+# or columns. Window offset (i, j) of every output pixel is then the flat
+# shift i*W + j, so one copy or add moves every map at once. A shift makes
+# the taps that fall in the padding read or write the neighbouring row or
+# map instead: |i - p| rows at the top or bottom of each map and |j - p|
+# columns at its left or right. Those entries are set to +0.0. One run, not
+# one run per leading index, because numpy runs an elementwise op on a 2-D
+# view whose rows are not back to back several times slower than on one
+# contiguous 1-D run.
 
 def _edge(d, n):
     """The output rows (columns) of an n-long axis whose tap at shift d = i - p
@@ -95,29 +102,28 @@ def _zero_padding_taps(a, i, j, k):
         a[..., _edge(j - p, a.shape[-1])] = 0.0
 
 
-def _flat_runs(shape, k):
-    """Zeroed [A, M*H*W + 2(p*W + p)] runs for maps of shape [A, M, H, W], and
-    the slice of the maps in each run."""
-    a, m, h, w = shape
-    p, n = (k - 1) // 2, m * h * w
-    return np.zeros((a, n + 2 * (p * w + p))), slice(p * w + p, p * w + p + n)
+def _flat_run(shape, k):
+    """The zeroed flat run [A*M*H*W + 2(p*W + p)] for maps of shape
+    [A, M, H, W], and the slice of the maps in it."""
+    p, w, n = (k - 1) // 2, shape[-1], math.prod(shape)
+    return np.zeros(n + 2 * (p * w + p)), slice(p * w + p, p * w + p + n)
 
 
 def _window_matrix(x, k):
-    """[B,C,H,W] -> the stride-1 window matrix [C,k,k,B,H*W], zero padded.
+    """[B,C,H,W] -> the stride-1 window matrix [C,k,k,B*H*W], zero padded.
 
     Equal, value for value, to _windows(x, k, 1, p) moved to (c, i, j, b, h, w)
     order, the matrix einsum copies out of the window view.
     """
     b, c, h, w = x.shape
-    runs, maps = _flat_runs((c, b, h, w), k)
-    runs[:, maps].reshape(c, b, h, w)[...] = x.transpose(1, 0, 2, 3)
+    run, maps = _flat_run((c, b, h, w), k)
+    run[maps].reshape(c, b, h, w)[...] = x.transpose(1, 0, 2, 3)
     n = b * h * w
     cols = np.empty((c, k, k, n))
     grid = cols.reshape(c, k, k, b, h, w)
     for i in range(k):
         for j in range(k):
-            cols[:, i, j] = runs[:, i * w + j:i * w + j + n]
+            cols[:, i, j] = run[i * w + j:i * w + j + c * n].reshape(c, n)
             _zero_padding_taps(grid[:, i, j], i, j, k)
     return cols
 
@@ -172,19 +178,22 @@ def _scatter_windows(window_grad, shape, k, stride, channel_major=False):
     window_grad(i, j), the [B,C,Ho,Wo] gradient at window offset (i, j)
     ([C,B,...] in `shape` and window_grad with `channel_major`).
 
-    Each offset is one add of flat runs. Its padding taps are zeroed in the
-    window gradient first, so window_grad must return an array this function
-    may overwrite. A stride-s gradient is first spread over one zeroed
-    [...,H,W] slab, since output (y, x) at stride s is stride-1 output
-    (s*y, s*x). Every add the reference does not make adds +0.0, and the
-    sums start at +0.0 and so never hold -0.0: each such add leaves the sum
-    bitwise unchanged. The result is copied into the crop of a
-    [B,C,H+2p,W+2p] buffer, the reference layout, so that reductions over it
-    sum in the same order.
+    Each offset is one add into the one flat run that holds every map back
+    to back (see the window helpers for why one run), a contiguous 1-D ufunc
+    call when window_grad returns a C-contiguous slab. Its padding taps,
+    which would write into the neighbouring row, map or sample, are zeroed
+    in the window gradient first, so window_grad must return an array this
+    function may overwrite. A stride-s gradient is
+    first spread over one zeroed [...,H,W] slab, since output (y, x) at
+    stride s is stride-1 output (s*y, s*x). Every add the reference does not
+    make adds +0.0, and the sums start at +0.0 and so never hold -0.0: each
+    such add leaves the sum bitwise unchanged. The result is copied into the
+    crop of a [B,C,H+2p,W+2p] buffer, the reference layout, so that
+    reductions over it sum in the same order.
     """
-    a, m, h, w = shape
-    acc, maps = _flat_runs(shape, k)
-    n = m * h * w
+    h, w = shape[2:]
+    acc, maps = _flat_run(shape, k)
+    n = math.prod(shape)
     # each offset overwrites the strided entries; the others only ever get zeros
     spread = np.zeros(shape) if stride > 1 else None
     for i in range(k):
@@ -194,8 +203,8 @@ def _scatter_windows(window_grad, shape, k, stride, channel_major=False):
                 spread[..., ::stride, ::stride] = slab
                 slab = spread
             _zero_padding_taps(slab, i, j, k)
-            acc[:, i * w + j:i * w + j + n] += slab.reshape(a, n)
-    dx = acc[:, maps].reshape(shape)
+            acc[i * w + j:i * w + j + n] += slab.reshape(n)
+    dx = acc[maps].reshape(shape)
     if channel_major:
         dx = dx.transpose(1, 0, 2, 3)
     p = (k - 1) // 2
@@ -225,7 +234,9 @@ def _bilinear_matrix(out_size, in_size, scale):
 
 def _conv_forward(x, w, b, stride, pad):
     o, c, k = w.shape[0], w.shape[1], w.shape[-1]
-    if stride == 1:
+    # einsum makes no matmul for a one-term contraction (a PointwiseConv from
+    # one channel), and its output is then in [B,O,H,W] memory order
+    if stride == 1 and c * k * k > 1:
         # the matmul einsum makes, on equal operands, so equal bit for bit
         n, _, h, ww = x.shape
         cols = _window_matrix(x, k).reshape(c * k * k, n * h * ww)
@@ -245,12 +256,19 @@ def _conv_backward(g, w, x, stride, pad, input_grad, param_grads):
         dw = (go @ _window_operand(_padded(x, pad), k, stride)).reshape(w.shape)
         db = g.sum(axis=(0, 2, 3))
     if input_grad:
-        # channel-major, so each window offset's slab t[:, i, j] is one
-        # contiguous [B,H,W] run per channel
+        # rows in (i, j, c) order, so each window offset's slab t[i, j] is one
+        # contiguous [C,B,Ho,Wo] run; permuting the rows of a matrix product
+        # leaves the order of each dot product as it was. A matrix-vector
+        # product (one output pixel at batch 1) sums a row in an order that
+        # depends on its position, so there the rows keep einsum's order.
         n, _, h, ww = x.shape
-        t = (w.transpose(1, 2, 3, 0).reshape(c * k * k, o) @ go).reshape(
-            (c, k, k, n) + g.shape[2:])
-        dx = _scatter_windows(lambda i, j: t[:, i, j], (c, n, h, ww), k, stride,
+        if go.shape[1] > 1:
+            t = (w.transpose(2, 3, 1, 0).reshape(k * k * c, o) @ go).reshape(
+                (k, k, c, n) + g.shape[2:])
+        else:
+            t = (w.transpose(1, 2, 3, 0).reshape(c * k * k, o) @ go).reshape(
+                (c, k, k, n) + g.shape[2:]).transpose(1, 2, 0, 3, 4, 5)
+        dx = _scatter_windows(lambda i, j: t[i, j], (c, n, h, ww), k, stride,
                               channel_major=True)
     return dx, dw, db
 
@@ -270,20 +288,26 @@ def _dwconv_backward(g, w, x, stride, pad, input_grad, param_grads):
     """(dx, dw, db); dx is None without input_grad, dw and db without param_grads."""
     c, k = w.shape[0], w.shape[-1]
     dx = dw = db = None
+    # channel-major, and a contiguous copy unless g already is channel-major:
+    # g is usually the crop of a padded buffer, on which each product below
+    # would be several times slower
+    gc = g.transpose(1, 0, 2, 3).reshape(c, -1)
     if param_grads:
         # the batched matmul einsum makes: per channel, g [1, B*Ho*Wo] @
         # windows [B*Ho*Wo, k*k]
         cols = _window_operand(_padded(x.transpose(1, 0, 2, 3), pad), k, stride,
                                depthwise=True)
-        dw = (g.transpose(1, 0, 2, 3).reshape(c, 1, -1) @ cols).reshape(w.shape)
+        dw = (gc.reshape(c, 1, -1) @ cols).reshape(w.shape)
         del cols  # before the scatter allocates
+        # over g in its own layout, which sets the order of the sum
         db = g.sum(axis=(0, 2, 3))
     if input_grad:
         # every window offset's product goes into the same buffer
-        prod = np.empty(g.shape)
+        prod = np.empty(gc.shape)
+        grad_shape = (c, g.shape[0]) + g.shape[2:]
         dx = _scatter_windows(
-            lambda i, j: np.multiply(g, w[None, :, i, j, None, None], out=prod),
-            x.shape, k, stride)
+            lambda i, j: np.multiply(gc, w[:, i, j, None], out=prod).reshape(grad_shape),
+            (c, x.shape[0]) + x.shape[2:], k, stride, channel_major=True)
     return dx, dw, db
 
 
