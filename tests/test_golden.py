@@ -34,7 +34,7 @@ GOLDEN = {
     "toy-sr": {
         "lut": "cd793479d55fa300ded78550d28abe8893c8bca363dc1439596731eab42148c3",
         "history": "ab308aadaf1670f939b70863767b9f1acc6e31a98724e4c5bcd4db3c936e7b7e",
-        "arch": "2aecbdd58def859c8366cbf4cdc85aa9caf442b301b7b5c32a4d8dd0df0d8d96",
+        "arch": "541a61c2f785778e66cc4524abaf6af57d2a78f390560ee9eba7e172da0fa013",
         "compact": "f4e5471ad5017397bd18e53854a4f91aa96e35eb71c5754a47fa0b9f3414d082",
     },
 }
