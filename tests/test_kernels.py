@@ -66,6 +66,18 @@ def ref_avgpool_dx(g, x_shape, k, stride, pad):
     return ref_scatter_windows(t, padded, k, stride, pad)
 
 
+def ref_avgpool(x, k, stride, pad):
+    win, _ = ref_windows(x, k, stride, pad)
+    return win.mean(axis=(-1, -2))
+
+
+def ref_maxpool(x, k, stride, pad):
+    win, _ = ref_windows(x, k, stride, pad, -np.inf)
+    flat = win.reshape(win.shape[:4] + (k * k,))
+    idx = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+
+
 def ref_maxpool_dx(x, g, k, stride, pad):
     win, padded = ref_windows(x, k, stride, pad, -np.inf)
     idx = win.reshape(win.shape[:4] + (k * k,)).argmax(axis=-1)
@@ -129,6 +141,9 @@ CASES += [
     (OperatorSpec(OpKind.DWConv, 6, 6, kernel=5), TensorShape(6, 9, 9), 8),
     (OperatorSpec(OpKind.DWConv, 6, 6, kernel=3, stride=2), TensorShape(6, 9, 9), 2),
     (OperatorSpec(OpKind.PointwiseConv, 5, 3), TensorShape(5, 9, 9), 8),
+    # stride 3, and a non-square output map
+    (OperatorSpec(OpKind.Conv, 4, 6, kernel=3, stride=3), TensorShape(4, 10, 7), 2),
+    (OperatorSpec(OpKind.DWConv, 6, 6, kernel=3, stride=3), TensorShape(6, 9, 9), 2),
 ]
 # Non-square maps and batch 1: a reshape of a batch-1 or one-row window view
 # can be a view, not a copy, and BLAS then reads strided memory.
@@ -139,8 +154,10 @@ EDGE_CASES = [
     (OperatorSpec(OpKind.DWConv, 6, 6, kernel=3, stride=2), TensorShape(6, 9, 6), 1),
     (OperatorSpec(OpKind.PointwiseConv, 5, 3), TensorShape(5, 4, 9), 1),
     (OperatorSpec(OpKind.Conv, 3, 16, kernel=3), TensorShape(3, 8, 8), 1),
-    # a one-term contraction, for which einsum makes no matmul
+    # one-term contractions, for which einsum makes no matmul
     (OperatorSpec(OpKind.PointwiseConv, 1, 2), TensorShape(1, 8, 8), 3),
+    (OperatorSpec(OpKind.DWConv, 4, 4, kernel=1, stride=2), TensorShape(4, 7, 7), 3),
+    (OperatorSpec(OpKind.PointwiseConv, 5, 3, stride=2), TensorShape(5, 9, 9), 2),
 ]
 CASES += EDGE_CASES
 
@@ -261,20 +278,30 @@ POOL_CASES = [(3, 1, (4, 5, 8, 8)), (1, 2, (3, 4, 8, 8)), (3, 2, (2, 3, 9, 9)),
               (5, 1, (2, 2, 7, 7)), (5, 2, (2, 3, 8, 8))]
 
 
-def _check_pool_case(kind, k, stride, x_shape, signed_zeros):
+def _check_pool_case(kind, k, stride, x_shape, signed_zeros,
+                     channel_major_input=False):
     rng = np.random.default_rng(k + stride)
     op = OperatorSpec(kind, x_shape[1], x_shape[1], kernel=k, stride=stride)
     pad = op.padding
     inst = ModuleInstance(op, rng)
     x = rng.standard_normal(x_shape)
-    g = rng.standard_normal(inst.forward(x).shape)
+    if channel_major_input:
+        x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    out = inst.forward(x)
+    g = rng.standard_normal(out.shape)
     if signed_zeros:
         g = _with_signed_zeros(g, rng)
     dx = inst.backward(g)
-    ref = (ref_avgpool_dx(g, x_shape, k, stride, pad) if kind is OpKind.AvgPool
-           else ref_maxpool_dx(x, g, k, stride, pad))
-    assert _same_bytes(dx, ref)
-    assert dx.strides == ref.strides
+    if kind is OpKind.AvgPool:
+        ref_out = ref_avgpool(x, k, stride, pad)
+        ref_dx = ref_avgpool_dx(g, x_shape, k, stride, pad)
+    else:
+        ref_out = ref_maxpool(x, k, stride, pad)
+        ref_dx = ref_maxpool_dx(x, g, k, stride, pad)
+    assert _same_bytes(out, ref_out)
+    assert out.strides == ref_out.strides
+    assert _same_bytes(dx, ref_dx)
+    assert dx.strides == ref_dx.strides
 
 
 @pytest.mark.parametrize("kind", [OpKind.AvgPool, OpKind.MaxPool])
@@ -287,6 +314,13 @@ def test_pool_backward_matches_reference_bitwise(kind, k, stride, x_shape):
 @pytest.mark.parametrize("k,stride,x_shape", POOL_CASES)
 def test_pool_backward_keeps_signed_zeros(kind, k, stride, x_shape):
     _check_pool_case(kind, k, stride, x_shape, signed_zeros=True)
+
+
+# The forward's output layout follows its input's, as the reference's does.
+@pytest.mark.parametrize("kind", [OpKind.AvgPool, OpKind.MaxPool])
+@pytest.mark.parametrize("k,stride,x_shape", POOL_CASES)
+def test_pool_kernels_match_reference_on_channel_major_input(kind, k, stride, x_shape):
+    _check_pool_case(kind, k, stride, x_shape, signed_zeros=False, channel_major_input=True)
 
 
 @pytest.mark.parametrize("batch,classes", [(1, 2), (8, 4), (32, 10)])
