@@ -7,29 +7,38 @@ backward) pair; its parameter shapes and children come from `graph.KINDS`.
 
 A backward pass computes only what its caller reads: it can skip the input
 gradient (the first layer of a net) or the parameter gradients (architecture
-steps, where weights are frozen). Stride-1 Conv, DWConv and PointwiseConv
-build their forward window matrix from one flat run that holds every map
-back to back, one copy per window offset, and every window-gradient scatter
-(those three, strided convs and the pools) adds into such a run, one
-contiguous 1-D add per offset (see the window helpers): numpy runs an
+steps, where weights are frozen).
+
+Conv, PointwiseConv and DWConv share one kernel pair, a convolution of G
+groups with an [O, C/G, k, k] weight: G = 1 for a Conv or PointwiseConv, and
+G = C for a DWConv, whose [C,k,k] weight it reads as [C,1,k,k]. The forward
+is one batched matmul of the weight and the window matrix, which is built at
+stride 1 from one flat run holding every map back to back, one copy per
+window offset, and for stride s keeps every s-th row and column; a one-term
+contraction, or an output map one pixel wide, is einsum's own. The weight
+gradient is the batched matmul einsum(optimize=True) makes, on a window
+operand gathered with one np.take from a zero-padded copy, or, where
+einsum's reshape of the window view is a view, on that view (see
+_window_operand). Every window-gradient scatter (the convs and the pools)
+adds into such a flat run, one contiguous 1-D add per offset: numpy runs an
 elementwise op several times slower on a 2-D view whose rows are not back to
 back. For the same reason the DWConv input-gradient products read a
 channel-major contiguous copy of the output gradient, not the gradient the
-next layer hands down, which is usually the crop of a padded buffer. The
-Conv, DWConv and PointwiseConv backward (any stride) call the matmuls that
-numpy 2.4's einsum(optimize=True) makes, on operands with its values and
-layout: the window operand of the weight gradient is gathered with one
-np.take from a zero-padded copy, or, where einsum's reshape of the window
-view is a view, is that view (see _window_operand).
+next layer hands down, which is usually the crop of a padded buffer.
 
 Every value a kernel computes, and the memory layout of its output and input
 gradient, is bitwise equal to the plain einsum formulation (sliding windows,
 one einsum per product, window gradients scattered in i-then-j order), so
 seeded runs stay reproducible; tests/test_kernels.py holds that reference.
-One known exception, which no built-in space reaches: maps one pixel wide at
-batch 1, where einsum drops the size-1 axes. There the weight gradient
-differs from the reference in signed zeros (1x1 maps) or in the last bit
-(DWConv on 5x1 maps), as it did with the einsum-based backward.
+The known exceptions are all conv backward passes whose output maps are one
+pixel wide or one pixel high, which no built-in space reaches:
+- the weight gradient on maps one pixel wide at batch 1, where einsum drops
+  the size-1 axes: it differs in signed zeros (1x1 maps) or in the last bit
+  (DWConv on 5x1 maps);
+- the Conv weight gradient when only the output is one pixel, at batch 1:
+  it differs in signed zeros (Conv 3->4 k5 s2 on 2x2 maps);
+- other weight gradients, and input gradients read from the crop of a
+  padded buffer, on such maps at any batch can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -68,8 +77,10 @@ def _kaiming_uniform(shape, fan_in, rng):
 # Window helpers shared by conv / depthwise / pooling
 # ---------------------------------------------------------------------------
 
-def _windows(x, k, stride, pad, pad_value=0.0):
-    """[B,C,H,W] -> sliding windows [B,C,Ho,Wo,k,k] over padded input."""
+def _windows(x, k, stride, pad_value=0.0):
+    """[B,C,H,W] -> sliding windows [B,C,Ho,Wo,k,k] over the input padded by
+    (k-1)//2 with pad_value."""
+    pad = (k - 1) // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=pad_value)
     return sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
 
@@ -109,67 +120,57 @@ def _flat_run(shape, k):
     return np.zeros(n + 2 * (p * w + p)), slice(p * w + p, p * w + p + n)
 
 
-def _window_matrix(x, k):
-    """[B,C,H,W] -> the stride-1 window matrix [C,k,k,B*H*W], zero padded.
+def _window_matrix(x, k, stride):
+    """[B,C,H,W] -> the stride-s window matrix [C,k,k,B,Ho,Wo], zero padded.
 
-    Equal, value for value, to _windows(x, k, 1, p) moved to (c, i, j, b, h, w)
-    order, the matrix einsum copies out of the window view.
+    Equal, value for value, to _windows(x, k, stride) moved to
+    (c, i, j, b, h, w) order, the matrix einsum copies out of the window view.
+    The stride-s window of output (y, x) is the stride-1 window of (s*y, s*x),
+    so for s > 1 the stride-1 matrix's columns [..., ::s, ::s] are copied out.
     """
     b, c, h, w = x.shape
     run, maps = _flat_run((c, b, h, w), k)
     run[maps].reshape(c, b, h, w)[...] = x.transpose(1, 0, 2, 3)
     n = b * h * w
-    cols = np.empty((c, k, k, n))
-    grid = cols.reshape(c, k, k, b, h, w)
+    cols = np.empty((c, k, k, b, h, w))
+    flat = cols.reshape(c, k, k, n)
     for i in range(k):
         for j in range(k):
-            cols[:, i, j] = run[i * w + j:i * w + j + c * n].reshape(c, n)
-            _zero_padding_taps(grid[:, i, j], i, j, k)
-    return cols
+            flat[:, i, j] = run[i * w + j:i * w + j + c * n].reshape(c, n)
+            _zero_padding_taps(cols[:, i, j], i, j, k)
+    return cols if stride == 1 else cols[..., ::stride, ::stride].copy()
 
 
-def _padded(x, pad):
-    """A zero-padded C-contiguous copy of [A,M,H,W] x: [A,M,H+2p,W+2p]."""
-    a, m, h, w = x.shape
-    xp = np.zeros((a, m, h + 2 * pad, w + 2 * pad))
-    xp[:, :, pad:pad + h, pad:pad + w] = x
-    return xp
+def _window_operand(x, k, stride, groups):
+    """The window operand einsum hands to matmul for the weight gradient of a
+    convolution of G groups: [G, B*Ho*Wo, C/G*k*k] in (g,b,h,w,c,i,j) order.
 
-
-def _window_operand(xp, k, stride, depthwise=False):
-    """The window operand einsum hands to matmul for a weight gradient.
-
-    xp is a zero-padded [A,M,Hp,Wp] input. A conv (xp [B,C,...]) gets its
-    stride-s windows as [A*Ho*Wo, M*k*k] in (a,h,w,m,i,j) order, a depthwise
-    conv (xp [C,B,...]) as [A, M*Ho*Wo, k*k] in (a,m,h,w,i,j) order. Where
-    that reshape of the window view is a view, einsum hands BLAS the strided
-    view, and so does this. Otherwise einsum copies the view k elements at a
-    time; here one np.take gathers the same C-contiguous array through a flat
-    offset index built for the call. A depthwise xp is channel-major,
-    einsum's batch-major: the two layouts agree when B or C is 1, and
-    otherwise the reshape is a copy in both unless the output is one pixel.
+    These are the stride-s windows of the zero-padded [G*B, C/G, H, W] view
+    of [B,C,H,W] x, which is x itself for G = 1 and channel-major x for
+    G = C. Where that reshape of the window view is a view, einsum hands BLAS
+    the strided view, and so does this. Otherwise einsum copies the view k
+    elements at a time; here one np.take gathers the same C-contiguous array
+    through a flat offset index built for the call.
     """
-    a, m, hp, wp = xp.shape
+    b, c, h, w = x.shape
+    m, p = c // groups, (k - 1) // 2
+    hp, wp = h + 2 * p, w + 2 * p
+    xp = np.zeros((groups, b, m, hp, wp))
+    xp[..., p:p + h, p:p + w] = x.reshape(b, groups, m, h, w).transpose(1, 0, 2, 3, 4)
+    xp = xp.reshape(groups * b, m, hp, wp)
     win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     ho, wo = win.shape[2:4]
-    if depthwise:
-        shape = (a, m * ho * wo, k * k)
-    else:
-        win, shape = win.transpose(0, 2, 3, 1, 4, 5), (a * ho * wo, m * k * k)
+    shape = (groups, b * ho * wo, m * k * k)
     try:
-        return win.reshape(shape, copy=False)
+        return win.transpose(0, 2, 3, 1, 4, 5).reshape(shape, copy=False)
     except ValueError:
         pass
     pixels = (np.arange(ho)[:, None] * (stride * wp) + np.arange(wo) * stride).reshape(-1)
     taps = (np.arange(k)[:, None] * wp + np.arange(k)).reshape(-1)
-    maps = np.arange(m) * (hp * wp)
-    if depthwise:
-        index = (maps[:, None] + pixels).reshape(-1, 1) + taps
-    else:
-        index = pixels[:, None] + (maps[:, None] + taps).reshape(-1)
-    out = np.empty((a,) + index.shape)
+    index = pixels[:, None] + (np.arange(m)[:, None] * (hp * wp) + taps).reshape(-1)
+    out = np.empty((groups * b,) + index.shape)
     # every index is in range; "clip" only skips take's buffered bounds check
-    np.take(xp.reshape(a, -1), index, axis=1, out=out, mode="clip")
+    np.take(xp.reshape(groups * b, -1), index, axis=1, out=out, mode="clip")
     return out.reshape(shape)
 
 
@@ -232,82 +233,66 @@ def _bilinear_matrix(out_size, in_size, scale):
 # Primitive forward/backward pairs
 # ---------------------------------------------------------------------------
 
-def _conv_forward(x, w, b, stride, pad):
-    o, c, k = w.shape[0], w.shape[1], w.shape[-1]
-    # einsum makes no matmul for a one-term contraction (a PointwiseConv from
-    # one channel), and its output is then in [B,O,H,W] memory order
-    if stride == 1 and c * k * k > 1:
-        # the matmul einsum makes, on equal operands, so equal bit for bit
-        n, _, h, ww = x.shape
-        cols = _window_matrix(x, k).reshape(c * k * k, n * h * ww)
-        out = (w.reshape(o, c * k * k) @ cols).reshape(o, n, h, ww).transpose(1, 0, 2, 3)
+def _conv_forward(x, w, b, stride):
+    """[B,C,H,W] x convolved with the [O, C/G, k, k] weight w of G groups:
+    G = 1 for a Conv or PointwiseConv, G = C for a DWConv."""
+    o, cg, k = w.shape[0], w.shape[1], w.shape[-1]
+    groups = x.shape[1] // cg
+    if cg * k * k == 1 or x.shape[3] <= stride:
+        # einsum makes no matmul for a one-term contraction (a PointwiseConv
+        # from one channel, a DWConv k1), and its output then has the memory
+        # order of its window operand; on output maps one pixel wide its
+        # matmul rounds differently from one on the window matrix
+        win = _windows(x, k, stride)
+        out = (np.einsum("bchwij,ocij->bohw", win, w, optimize=True) if groups == 1
+               else np.einsum("bchwij,cij->bchw", win, w[:, 0], optimize=True))
     else:
-        out = np.einsum("bchwij,ocij->bohw", _windows(x, k, stride, pad), w, optimize=True)
+        # the batched matmul einsum makes, on equal operands, so equal bit for bit
+        cols = _window_matrix(x, k, stride)
+        out = (w.reshape(groups, o // groups, cg * k * k)
+               @ cols.reshape(groups, cg * k * k, -1))
+        out = out.reshape((o,) + cols.shape[3:]).transpose(1, 0, 2, 3)
     return out + b[None, :, None, None]
 
-def _conv_backward(g, w, x, stride, pad, input_grad, param_grads):
-    """(dx, dw, db); dx is None without input_grad, dw and db without param_grads."""
-    o, c, k = w.shape[0], w.shape[1], w.shape[-1]
-    dx = dw = db = None
-    # the two matmuls einsum makes, on equal operands
-    go = g.transpose(1, 0, 2, 3).reshape(o, -1)
-    if param_grads:
-        # the window operand is freed before t is built
-        dw = (go @ _window_operand(_padded(x, pad), k, stride)).reshape(w.shape)
-        db = g.sum(axis=(0, 2, 3))
-    if input_grad:
-        # rows in (i, j, c) order, so each window offset's slab t[i, j] is one
-        # contiguous [C,B,Ho,Wo] run; permuting the rows of a matrix product
-        # leaves the order of each dot product as it was. A matrix-vector
-        # product (one output pixel at batch 1) sums a row in an order that
-        # depends on its position, so there the rows keep einsum's order.
-        n, _, h, ww = x.shape
-        if go.shape[1] > 1:
-            t = (w.transpose(2, 3, 1, 0).reshape(k * k * c, o) @ go).reshape(
-                (k, k, c, n) + g.shape[2:])
-        else:
-            t = (w.transpose(1, 2, 3, 0).reshape(c * k * k, o) @ go).reshape(
-                (c, k, k, n) + g.shape[2:]).transpose(1, 2, 0, 3, 4, 5)
-        dx = _scatter_windows(lambda i, j: t[i, j], (c, n, h, ww), k, stride,
-                              channel_major=True)
-    return dx, dw, db
-
-
-def _dwconv_forward(x, w, b, stride, pad):
-    c, k = w.shape[0], w.shape[-1]
-    if stride == 1:
-        # the batched matmul einsum makes, on equal operands
-        n, _, h, ww = x.shape
-        cols = _window_matrix(x, k).reshape(c, k * k, n * h * ww)
-        out = (w.reshape(c, 1, k * k) @ cols).reshape(c, n, h, ww).transpose(1, 0, 2, 3)
-    else:
-        out = np.einsum("bchwij,cij->bchw", _windows(x, k, stride, pad), w, optimize=True)
-    return out + b[None, :, None, None]
-
-def _dwconv_backward(g, w, x, stride, pad, input_grad, param_grads):
-    """(dx, dw, db); dx is None without input_grad, dw and db without param_grads."""
-    c, k = w.shape[0], w.shape[-1]
+def _conv_backward(g, w, x, stride, input_grad, param_grads):
+    """(dx, dw, db) of _conv_forward; dx is None without input_grad, dw and db
+    without param_grads."""
+    o, cg, k = w.shape[0], w.shape[1], w.shape[-1]
+    n, c, h, ww = x.shape
+    groups = c // cg
     dx = dw = db = None
     # channel-major, and a contiguous copy unless g already is channel-major:
-    # g is usually the crop of a padded buffer, on which each product below
-    # would be several times slower
-    gc = g.transpose(1, 0, 2, 3).reshape(c, -1)
+    # g is usually the crop of a padded buffer, on which each depthwise
+    # product below would be several times slower
+    go = g.transpose(1, 0, 2, 3).reshape(o, -1)
     if param_grads:
-        # the batched matmul einsum makes: per channel, g [1, B*Ho*Wo] @
-        # windows [B*Ho*Wo, k*k]
-        cols = _window_operand(_padded(x.transpose(1, 0, 2, 3), pad), k, stride,
-                               depthwise=True)
-        dw = (gc.reshape(c, 1, -1) @ cols).reshape(w.shape)
-        del cols  # before the scatter allocates
+        # the batched matmul einsum makes: per group, g [O/G, B*Ho*Wo] @
+        # windows [B*Ho*Wo, C/G*k*k]; the window operand is freed before dx
+        dw = (go.reshape(groups, o // groups, -1)
+              @ _window_operand(x, k, stride, groups)).reshape(w.shape)
         # over g in its own layout, which sets the order of the sum
         db = g.sum(axis=(0, 2, 3))
     if input_grad:
-        # every window offset's product goes into the same buffer
-        prod = np.empty(gc.shape)
-        grad_shape = (c, g.shape[0]) + g.shape[2:]
-        dx = _scatter_windows(
-            lambda i, j: np.multiply(gc, w[:, i, j, None], out=prod).reshape(grad_shape),
-            (c, x.shape[0]) + x.shape[2:], k, stride, channel_major=True)
+        if groups == 1:
+            # rows in (i, j, c) order, so each window offset's slab t[i, j] is
+            # one contiguous [C,B,Ho,Wo] run; permuting the rows of a matrix
+            # product leaves the order of each dot product as it was. A
+            # matrix-vector product (one output pixel at batch 1) sums a row
+            # in an order that depends on its position, so there the rows
+            # keep einsum's order.
+            if go.shape[1] > 1:
+                t = (w.transpose(2, 3, 1, 0).reshape(k * k * c, o) @ go).reshape(
+                    (k, k, c, n) + g.shape[2:])
+            else:
+                t = (w.transpose(1, 2, 3, 0).reshape(c * k * k, o) @ go).reshape(
+                    (c, k, k, n) + g.shape[2:]).transpose(1, 2, 0, 3, 4, 5)
+            window_grad = lambda i, j: t[i, j]
+        else:
+            # every window offset's depthwise product goes into the same buffer
+            prod, grad_shape = np.empty(go.shape), (c, n) + g.shape[2:]
+            window_grad = lambda i, j: np.multiply(
+                go, w[:, 0, i, j, None], out=prod).reshape(grad_shape)
+        dx = _scatter_windows(window_grad, (c, n, h, ww), k, stride, channel_major=True)
     return dx, dw, db
 
 
@@ -326,17 +311,20 @@ def _relu_backward(g, mask, slope):
 # ---------------------------------------------------------------------------
 
 def _weighted(kernel_forward, kernel_backward):
-    """The pair for a kind with one weight and one bias."""
+    """The pair for a kind with one weight and one bias. A DWConv's [C,k,k]
+    weight goes to the kernels as the [C,1,k,k] weight of C groups."""
+    def weight(m):
+        w = m.params["weight"].value
+        return w[:, None] if w.ndim == 3 else w
+
     def forward(m, x):
-        s = m.spec
-        return kernel_forward(x, m.params["weight"].value, m.params["bias"].value,
-                              s.stride, s.padding), x
+        return kernel_forward(x, weight(m), m.params["bias"].value, m.spec.stride), x
 
     def backward(m, g, x, input_grad, param_grads):
-        dx, dw, db = kernel_backward(g, m.params["weight"].value, x, m.spec.stride,
-                                     m.spec.padding, input_grad, param_grads)
+        dx, dw, db = kernel_backward(g, weight(m), x, m.spec.stride,
+                                     input_grad, param_grads)
         if param_grads:
-            m.params["weight"].grad += dw
+            m.params["weight"].grad += dw.reshape(m.params["weight"].grad.shape)
             m.params["bias"].grad += db
         return dx
     return forward, backward
@@ -363,7 +351,7 @@ def _mbconv_backward(m, g, cache, input_grad, param_grads):
 
 def _avgpool(m, x):
     s = m.spec
-    return _windows(x, s.kernel, s.stride, s.padding).mean(axis=(-1, -2)), x.shape
+    return _windows(x, s.kernel, s.stride).mean(axis=(-1, -2)), x.shape
 
 def _avgpool_backward(m, g, shape, input_grad, param_grads):
     s = m.spec
@@ -375,7 +363,7 @@ def _avgpool_backward(m, g, shape, input_grad, param_grads):
 def _maxpool(m, x):
     s = m.spec
     # -inf padding: a border window's max comes from the input alone
-    win = _windows(x, s.kernel, s.stride, s.padding, -np.inf)
+    win = _windows(x, s.kernel, s.stride, -np.inf)
     flat = win.reshape(win.shape[:4] + (s.kernel * s.kernel,))
     idx = flat.argmax(axis=-1)
     return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], (x.shape, idx)
@@ -469,12 +457,15 @@ def _linear_backward(m, g, cache, input_grad, param_grads):
 _ACTIVATION = (lambda m, x: _relu_forward(x, m.spec.activation_slope),
                lambda m, g, mask, *_: _relu_backward(g, mask, m.spec.activation_slope))
 
+# Conv, PointwiseConv and DWConv: one convolution of G groups
+_CONV = _weighted(_conv_forward, _conv_backward)
+
 # The kernels of each kind. The rest of a kind's facts are in graph.KINDS, which
 # imports no kernels.
 KERNELS = {
-    OpKind.Conv: _weighted(_conv_forward, _conv_backward),
-    OpKind.DWConv: _weighted(_dwconv_forward, _dwconv_backward),
-    OpKind.PointwiseConv: _weighted(_conv_forward, _conv_backward),
+    OpKind.Conv: _CONV,
+    OpKind.DWConv: _CONV,
+    OpKind.PointwiseConv: _CONV,
     OpKind.MBConv: (_mbconv, _mbconv_backward),
     OpKind.AvgPool: (_avgpool, _avgpool_backward),
     OpKind.MaxPool: (_maxpool, _maxpool_backward),

@@ -156,8 +156,14 @@ EDGE_CASES = [
     (OperatorSpec(OpKind.Conv, 3, 16, kernel=3), TensorShape(3, 8, 8), 1),
     # one-term contractions, for which einsum makes no matmul
     (OperatorSpec(OpKind.PointwiseConv, 1, 2), TensorShape(1, 8, 8), 3),
+    (OperatorSpec(OpKind.DWConv, 4, 4, kernel=1), TensorShape(4, 6, 6), 3),
     (OperatorSpec(OpKind.DWConv, 4, 4, kernel=1, stride=2), TensorShape(4, 7, 7), 3),
     (OperatorSpec(OpKind.PointwiseConv, 5, 3, stride=2), TensorShape(5, 9, 9), 2),
+    # output maps one pixel wide, on which einsum's matmul rounds differently
+    # from one on the window matrix
+    (OperatorSpec(OpKind.Conv, 3, 4, kernel=3), TensorShape(3, 1, 1), 3),
+    (OperatorSpec(OpKind.Conv, 4, 6, kernel=5, stride=3), TensorShape(4, 2, 3), 5),
+    (OperatorSpec(OpKind.DWConv, 4, 4, kernel=5, stride=3), TensorShape(4, 2, 3), 5),
 ]
 CASES += EDGE_CASES
 
