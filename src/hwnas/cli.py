@@ -9,6 +9,7 @@ timestamp-stripped content so reruns with the same seed match byte-for-byte).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -107,17 +108,20 @@ def _make_dataset(task: Task, args) -> datasets.Dataset:
     return datasets.generate_sr_dataset(spec)
 
 
-def _load_net(spec: str):
-    """A built-in space name or a .net.json file."""
-    if spec in spaces.BUILTIN_SPACES:
-        return spaces.BUILTIN_SPACES[spec]()
-    return load_net(spec)
+def _load_net(spec: str, kind=None):
+    """A built-in space name or a .net.json file.
 
-
-def _load_supernet(spec: str) -> SuperNet:
-    net = _load_net(spec)
-    if not isinstance(net, SuperNet):
-        raise HwnasError(f"{spec} is not a supernet file")
+    With `kind` (SuperNet or CompactNet) the net must be of that class, and a
+    supernet must pass `graph.validate`: otherwise the first finding is the error.
+    """
+    net = spaces.BUILTIN_SPACES[spec]() if spec in spaces.BUILTIN_SPACES else load_net(spec)
+    if kind is not None and not isinstance(net, kind):
+        what = "supernet" if kind is SuperNet else "compact network"
+        raise HwnasError(f"{spec} is not a {what} file")
+    if kind is SuperNet:
+        report = validate(net)
+        if not report.ok:
+            raise HwnasError(f"invalid supernet {spec}: {report.findings[0]}")
     return net
 
 
@@ -127,6 +131,13 @@ def _emit(args, doc: dict):
     else:
         for k, v in doc.items():
             print(f"{k}: {v}")
+
+
+def _finish(args, out_dir, command: str, seed, artifacts: dict, summary: dict) -> int:
+    """The end of every command that writes a manifest: manifest, summary, exit 0."""
+    write_manifest(out_dir, command, args, seed, artifacts)
+    _emit(args, summary)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +189,7 @@ def _partial_lut_path(out) -> Path:
 
 
 def cmd_lut_build(args):
-    net = _load_supernet(args.net)
+    net = _load_net(args.net, SuperNet)
     device = _load_device(args.device)
     try:
         lut = profiler.build_lut(device, net, n=args.stack_n, trials=args.trials)
@@ -191,20 +202,17 @@ def cmd_lut_build(args):
         raise DeviceError(f"{e}; the {len(partial.entries)} entries measured so far "
                           f"are saved in {path}") from e
     save_lut(lut, args.out)
-    write_manifest(Path(args.out).parent, "lut build", args,
-                   getattr(device, "seed", None), {"lut": args.out})
-    _emit(args, {"entries": len(lut.entries), "out": args.out})
-    return 0
+    return _finish(args, Path(args.out).parent, "lut build", getattr(device, "seed", None),
+                   {"lut": args.out}, {"entries": len(lut.entries), "out": args.out})
 
 
 def cmd_lut_from_model(args):
-    net = _load_supernet(args.net)
+    net = _load_net(args.net, SuperNet)
     model = costmodel.load_model(args.model)
     lut = costmodel.lut_from_model(model, net, clock_ghz=args.clock_ghz)
     save_lut(lut, args.out)
-    write_manifest(Path(args.out).parent, "lut from-model", args, None, {"lut": args.out})
-    _emit(args, {"entries": len(lut.entries), "out": args.out})
-    return 0
+    return _finish(args, Path(args.out).parent, "lut from-model", None,
+                   {"lut": args.out}, {"entries": len(lut.entries), "out": args.out})
 
 
 def cmd_costmodel_train(args):
@@ -225,10 +233,9 @@ def cmd_costmodel_train(args):
     artifacts = {"model": args.out}
     if not args.records and args.save_records:
         artifacts["records"] = args.save_records
-    write_manifest(Path(args.out).parent, "costmodel train", args, args.seed, artifacts)
-    _emit(args, {"train_mape_percent": report.final_train_mape,
-                 "val_mape_percent": report.final_val_mape, "out": args.out})
-    return 0
+    return _finish(args, Path(args.out).parent, "costmodel train", args.seed, artifacts,
+                   {"train_mape_percent": report.final_train_mape,
+                    "val_mape_percent": report.final_val_mape, "out": args.out})
 
 
 def cmd_costmodel_eval(args):
@@ -240,22 +247,14 @@ def cmd_costmodel_eval(args):
 
 
 def cmd_search_run(args):
-    net = _load_supernet(args.net)
-    report = validate(net)
-    if not report.ok:
-        raise HwnasError(f"invalid supernet: {report.findings[0]}")
+    net = _load_net(args.net, SuperNet)
     lut = load_lut(args.lut)
-    if args.config:
-        cfg = from_fields(search.SearchConfig, read_object(args.config), args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-    else:
-        cfg = search.SearchConfig(
-            lambda1=args.lambda1, lambda2=args.lambda2, lr_weights=args.lr_weights,
-            lr_arch=args.lr_arch, rounds=args.rounds, batch_size=args.batch_size,
-            weight_steps_per_round=args.weight_steps,
-            arch_steps_per_round=args.arch_steps,
-            seed=args.seed if args.seed is not None else 0)
+    settings = read_object(args.config) if args.config else {
+        f.name: getattr(args, f.name) for f in dataclasses.fields(search.SearchConfig)
+        if f.name != "seed"}
+    if args.seed is not None:
+        settings["seed"] = args.seed
+    cfg = from_fields(search.SearchConfig, settings, args.config or "search run")
     ds = _make_dataset(net.task, args)
     state, history = search.train_search(net, ds.train, ds.val, cfg, lut)
 
@@ -267,10 +266,9 @@ def cmd_search_run(args):
     write_object(arch_path, {"alphas": [v.tolist() for v in state.arch.vectors]}, indent=2)
     net_path = out_dir / "supernet.net.json"
     save_net(net, net_path)
-    write_manifest(out_dir, "search run", args, cfg.seed,
-                   {"history": hist_path, "arch": arch_path, "supernet": net_path})
-    _emit(args, {"rounds": len(history.records), "out_dir": str(out_dir)})
-    return 0
+    return _finish(args, out_dir, "search run", cfg.seed,
+                   {"history": hist_path, "arch": arch_path, "supernet": net_path},
+                   {"rounds": len(history.records), "out_dir": str(out_dir)})
 
 
 def _load_arch(path) -> search.ArchParams:
@@ -280,35 +278,28 @@ def _load_arch(path) -> search.ArchParams:
 
 
 def cmd_derive(args):
-    net = _load_supernet(args.net)
+    net = _load_net(args.net, SuperNet)
     arch = _load_arch(args.arch)
     compact = search.derive_compact(net, arch)
     save_net(compact, args.out)
-    write_manifest(Path(args.out).parent, "derive", args, None, {"compact": args.out})
-    _emit(args, {"chosen": list(compact.chosen_indices),
-                 "tie_stages": list(compact.tie_stages), "out": args.out})
-    return 0
+    return _finish(args, Path(args.out).parent, "derive", None, {"compact": args.out},
+                   {"chosen": list(compact.chosen_indices),
+                    "tie_stages": list(compact.tie_stages), "out": args.out})
 
 
 def cmd_train_compact(args):
-    net = load_net(args.net)
-    if not isinstance(net, CompactNet):
-        raise HwnasError(f"{args.net} is not a compact network file")
+    net = _load_net(args.net, CompactNet)
     ds = _make_dataset(net.task, args)
     model = search.train_compact(net, ds.train, steps=args.steps,
                                  batch_size=args.batch_size, lr=args.lr,
                                  weight_decay=args.weight_decay, seed=args.seed)
     save_checkpoint(model.named_parameters(), args.out)
-    write_manifest(Path(args.out).parent, "train-compact", args, args.seed,
-                   {"checkpoint": args.out})
-    _emit(args, {"steps": args.steps, "out": args.out})
-    return 0
+    return _finish(args, Path(args.out).parent, "train-compact", args.seed,
+                   {"checkpoint": args.out}, {"steps": args.steps, "out": args.out})
 
 
 def cmd_eval(args):
-    net = load_net(args.net)
-    if not isinstance(net, CompactNet):
-        raise HwnasError(f"{args.net} is not a compact network file")
+    net = _load_net(args.net, CompactNet)
     model = search.CompactNetModel(net, seed=args.seed)
     load_checkpoint(model.named_parameters(), args.checkpoint)
     ds = _make_dataset(net.task, args)
@@ -347,7 +338,7 @@ def cmd_lint(args):
 
 
 def cmd_calibrate(args):
-    net = _load_supernet(args.net)
+    net = _load_net(args.net, SuperNet)
     lut = load_lut(args.lut)
     device = _load_device(args.device)
     report = profiler.calibrate(device, net, lut, num_samples=args.samples,
@@ -363,10 +354,8 @@ def cmd_calibrate(args):
                "samples": args.samples, "note": report.note}
     json_path = prefix.with_suffix(".json")
     write_object(json_path, summary, indent=2)
-    write_manifest(prefix.parent, "calibrate", args, args.seed,
-                   {"calibration_csv": csv_path, "calibration_json": json_path})
-    _emit(args, summary)
-    return 0
+    return _finish(args, prefix.parent, "calibrate", args.seed,
+                   {"calibration_csv": csv_path, "calibration_json": json_path}, summary)
 
 
 def cmd_report(args):
@@ -391,9 +380,8 @@ def cmd_report(args):
     summary["plots"] = {k: str(v) for k, v in produced.items()}
     write_object(summary_path, summary, indent=2)
     produced["summary"] = summary_path
-    write_manifest(out_dir, "report", args, None, produced)
-    _emit(args, {"out_dir": str(out_dir), "plots": len(produced) - 1})
-    return 0
+    return _finish(args, out_dir, "report", None, produced,
+                   {"out_dir": str(out_dir), "plots": len(produced) - 1})
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-arch", type=_lower_bound(0.0, strict=True), default=0.2)
     p.add_argument("--rounds", type=_lower_bound(0), default=30)
     p.add_argument("--batch-size", type=_lower_bound(1), default=16)
-    p.add_argument("--weight-steps", type=_lower_bound(1), default=8)
-    p.add_argument("--arch-steps", type=_lower_bound(1), default=4)
+    p.add_argument("--weight-steps", dest="weight_steps_per_round", type=_lower_bound(1),
+                   default=8)
+    p.add_argument("--arch-steps", dest="arch_steps_per_round", type=_lower_bound(1),
+                   default=4)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", required=True)
     _add_dataset_args(p)

@@ -366,6 +366,9 @@ class Finding:
     path: str
     message: str
 
+    def __str__(self) -> str:
+        return f"{self.path}: {self.message}"
+
 
 @dataclass(frozen=True)
 class ValidationReport:

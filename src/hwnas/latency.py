@@ -39,9 +39,6 @@ class LatencyTable:
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"latency for {key!r} must be finite and >= 0, got {v}")
 
-    def __contains__(self, key):
-        return key in self.entries
-
 
 def lookup(lut: LatencyTable, op: OperatorSpec, input_shape: TensorShape) -> float:
     key = canonical_key(op, input_shape)

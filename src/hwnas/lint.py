@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .graph import KINDS, CompactNet, OperatorSpec, OpKind, SuperNet, TensorShape, walk
-from .profiler import is_dsp_bound
 
 RULE_IDS = ("VPU001", "VPU002", "VPU003")
 
@@ -53,7 +52,7 @@ def _op_findings(op: OperatorSpec, index: int, in_shape: TensorShape,
     part = {"layers": "", "stages": "stage {1} candidate {2} "}.get(where[0], "{0} ")
     loc = part.format(*where) + f"layer {index}"
 
-    if is_dsp_bound(op) or (strict_leaky and op.kind is OpKind.LeakyReLU):
+    if KINDS[op.kind].dsp_bound(op) or (strict_leaky and op.kind is OpKind.LeakyReLU):
         found.append(LintFinding(
             "VPU001", Severity.Warning, index,
             f"{loc}: {op.kind.value} runs on the DSP and stalls the compute engine"))

@@ -615,14 +615,10 @@ def grad_check(instance: ModuleInstance, input_shape: TensorShape,
     def objective():
         return float(np.sum(instance.forward(x) * proj))
 
-    def rel(a, f):
-        return abs(a - f) / max(abs(a), abs(f), 1e-6)
-
-    report = {"per_param": {}, "input_rel_err": 0.0}
-    worst = 0.0
-    for name, p in instance.params.items():
-        analytic = p.grad.copy()
-        flat = p.value.reshape(-1)
+    def max_rel_err(values, analytic):
+        """Worst relative error of `analytic` against central differences,
+        perturbing `values` in place one entry at a time."""
+        flat, analytic = values.reshape(-1), analytic.reshape(-1)
         err = 0.0
         for i in range(flat.size):
             orig = flat[i]
@@ -631,23 +627,14 @@ def grad_check(instance: ModuleInstance, input_shape: TensorShape,
             flat[i] = orig - step
             lo = objective()
             flat[i] = orig
-            err = max(err, rel(analytic.reshape(-1)[i], (hi - lo) / (2 * step)))
-        report["per_param"][name] = err
-        worst = max(worst, err)
+            f = (hi - lo) / (2 * step)
+            err = max(err, abs(analytic[i] - f) / max(abs(analytic[i]), abs(f), 1e-6))
+        return err
 
-    xflat = x.reshape(-1)
-    dxflat = dx.reshape(-1)
-    ierr = 0.0
-    for i in range(xflat.size):
-        orig = xflat[i]
-        xflat[i] = orig + step
-        hi = objective()
-        xflat[i] = orig - step
-        lo = objective()
-        xflat[i] = orig
-        ierr = max(ierr, rel(dxflat[i], (hi - lo) / (2 * step)))
-    report["input_rel_err"] = ierr
-    report["max_rel_err"] = max(worst, ierr)
+    report = {"per_param": {name: max_rel_err(p.value, p.grad.copy())
+                            for name, p in instance.params.items()},
+              "input_rel_err": max_rel_err(x, dx)}
+    report["max_rel_err"] = max([*report["per_param"].values(), report["input_rel_err"]])
     instance.zero_grad()
     instance._cache = None
     return report

@@ -32,16 +32,6 @@ DEFAULT_STACK_N = 20
 DEFAULT_TRIALS = 5
 
 
-def is_dsp_bound(op: OperatorSpec) -> bool:
-    """Whether the simulated accelerator offloads `op` to its slow scalar DSP."""
-    return KINDS[op.kind].dsp_bound(op)
-
-
-def op_macs(op: OperatorSpec, in_shape: TensorShape) -> int:
-    """Multiply-accumulate count (elementwise ops counted one per element)."""
-    return KINDS[op.kind].macs(op, in_shape, output_shape(op, in_shape))
-
-
 _BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
 
 
@@ -88,16 +78,17 @@ class SimulatedVPU:
         """Closed-form noiseless cost of one layer (no graph overhead)."""
         if op.kind is OpKind.Identity:
             return 0.0
+        rule = KINDS[op.kind]
         out = output_shape(op, in_shape)
-        macs = op_macs(op, in_shape)
+        macs = rule.macs(op, in_shape, out)
         util = 1.0
-        if KINDS[op.kind].tiled:
+        if rule.tiled:
             g = self.channel_granularity
             util = op.out_channels / (math.ceil(op.out_channels / g) * g)
         compute_ms = macs / (self.clock_ghz * 1e6 * self.macs_per_cycle * util)
         bytes_moved = 4 * (in_shape.numel + out.numel)
         dma_ms = bytes_moved / 2 ** 20 * self.dma_ms_per_mb
-        factor = self.dsp_penalty_factor if is_dsp_bound(op) else 1.0
+        factor = self.dsp_penalty_factor if rule.dsp_bound(op) else 1.0
         return (compute_ms + dma_ms) * factor
 
     def graph_cost_ms(self, net: CompactNet) -> float:

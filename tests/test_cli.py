@@ -72,6 +72,29 @@ def test_search_missing_lut_entry_exit_1_names_key(tmp_path, capsys):
     assert "Conv:k3:s1" in err  # message names a canonical key
 
 
+def test_search_config_file_matches_flags_and_seed_overrides_it(tmp_path):
+    lut = tmp_path / "t.lut.json"
+    assert run_cli("lut", "build", "--net", "toy-classification", "--out", str(lut)) == 0
+    config = tmp_path / "s.json"
+    config.write_text(json.dumps({"lambda2": 20.0, "rounds": 1, "batch_size": 8,
+                                  "weight_steps_per_round": 2, "arch_steps_per_round": 1,
+                                  "seed": 5}))
+    run = ["search", "run", "--net", "toy-classification", "--lut", str(lut),
+           "--data-samples", "40"]
+    flags = ["--lambda2", "20", "--rounds", "1", "--batch-size", "8",
+             "--weight-steps", "2", "--arch-steps", "1"]
+    for out, argv in (("file", ["--config", str(config)]),
+                      ("file-seed-3", ["--config", str(config), "--seed", "3"]),
+                      ("flags-seed-3", [*flags, "--seed", "3"])):
+        assert run_cli(*run, *argv, "--out-dir", str(tmp_path / out)) == 0
+    seeds = {out: json.loads((tmp_path / out / "run_manifest.json").read_text())["seed"]
+             for out in ("file", "file-seed-3", "flags-seed-3")}
+    assert seeds == {"file": 5, "file-seed-3": 3, "flags-seed-3": 3}
+    for name in ("history.csv", "arch.json"):
+        assert ((tmp_path / "file-seed-3" / name).read_bytes()
+                == (tmp_path / "flags-seed-3" / name).read_bytes())
+
+
 LEAKY_NET = {"task": "Classification", "input_shape": [3, 4, 4], "num_classes": 2,
              "layers": [{"kind": "LeakyReLU", "in_channels": 3, "out_channels": 3,
                          "activation_slope": "steep"}]}
@@ -206,6 +229,43 @@ MALFORMED_FILES = {
                                  "--out", "{tmp}/m.json"]),
 }
 
+# A supernet whose stage 0 candidate 1 makes 8 channels where the stage declares 16.
+BAD_SUPERNET = {"task": "Classification", "input_shape": [3, 8, 8], "num_classes": 4,
+                "stem": [{"kind": "Conv", "kernel": 3, "in_channels": 3, "out_channels": 16}],
+                "stages": [{"candidates": [
+                    {"kind": "Conv", "kernel": 3, "in_channels": 16, "out_channels": 16},
+                    {"kind": "Conv", "kernel": 3, "in_channels": 16, "out_channels": 8}]}],
+                "head": [{"kind": "Linear", "in_channels": 1024, "out_channels": 4}]}
+BAD = {"bad.net.json": _json(BAD_SUPERNET), "arch.json": _json({"alphas": [[0.0, 1.0]]})}
+INVALID_SUPERNET = "invalid supernet {tmp}/bad.net.json: stages[0].candidates[1]: produces"
+
+# A --net of the wrong kind, or a supernet that fails graph.validate: the error
+# names the cause, and the command writes nothing.
+NET_ERRORS = {
+    "derive-invalid-supernet": (BAD, ["derive", "--net", "{tmp}/bad.net.json", "--arch",
+                                      "{tmp}/arch.json", "--out", "{tmp}/c.net.json"],
+                                INVALID_SUPERNET),
+    "calibrate-invalid-supernet": (BAD, ["calibrate", "--net", "{tmp}/bad.net.json",
+                                         "--lut", "{tmp}/t.lut.json",
+                                         "--out-prefix", "{tmp}/cal/c"], INVALID_SUPERNET),
+    "lut-from-model-invalid-supernet": (BAD, ["lut", "from-model", "--net",
+                                              "{tmp}/bad.net.json", "--model", "{tmp}/m.json",
+                                              "--out", "{tmp}/p.lut.json"], INVALID_SUPERNET),
+    "lut-build-invalid-supernet": (BAD, ["lut", "build", "--net", "{tmp}/bad.net.json",
+                                         "--out", "{tmp}/l.lut.json"], INVALID_SUPERNET),
+    "search-invalid-supernet": (BAD, ["search", "run", "--net", "{tmp}/bad.net.json",
+                                      "--lut", "{tmp}/t.lut.json", "--out-dir", "{tmp}/run"],
+                                INVALID_SUPERNET),
+    "train-compact-given-supernet": ({}, ["train-compact", "--net", "toy-classification",
+                                          "--out", "{tmp}/w.json"],
+                                     "toy-classification is not a compact network file"),
+    "lut-from-model-given-compact-net": ({"c.net.json": _json(TINY_NET)},
+                                         ["lut", "from-model", "--net", "{tmp}/c.net.json",
+                                          "--model", "{tmp}/m.json", "--out", "{tmp}/p.lut.json"],
+                                         "{tmp}/c.net.json is not a supernet file"),
+}
+MALFORMED_FILES.update({case: (files, argv) for case, (files, argv, _) in NET_ERRORS.items()})
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
 def test_malformed_file_exit_1_without_traceback(case, tmp_path):
@@ -216,6 +276,18 @@ def test_malformed_file_exit_1_without_traceback(case, tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", sorted(NET_ERRORS))
+def test_net_error_names_its_cause_and_writes_nothing(case, tmp_path, capsys):
+    files, argv, message = NET_ERRORS[case]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert run_cli(*[a.format(tmp=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert message.format(tmp=tmp_path) in err
+    assert "Finding(" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 FLAG_COMMANDS = {

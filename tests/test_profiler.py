@@ -3,10 +3,9 @@ import statistics
 import pytest
 
 from hwnas.errors import NotStackable
-from hwnas.graph import OperatorSpec, OpKind, TensorShape
-from hwnas.profiler import (SimulatedVPU, build_lut, calibrate,
-                            enumerate_search_space, is_dsp_bound,
-                            measure_stacked_mixed, measure_stacked_same, op_macs)
+from hwnas.graph import KINDS, OperatorSpec, OpKind, TensorShape, output_shape
+from hwnas.profiler import (SimulatedVPU, build_lut, calibrate, enumerate_search_space,
+                            measure_stacked_mixed, measure_stacked_same)
 
 
 class ConstantCostDevice:
@@ -74,8 +73,8 @@ def test_cost_facts_cover_every_kind():
 @pytest.mark.parametrize("op,shape,macs,dsp,cost_ms", COST_FACTS,
                          ids=[f"{i}-{c[0].kind.value}" for i, c in enumerate(COST_FACTS)])
 def test_cost_facts(op, shape, macs, dsp, cost_ms):
-    assert op_macs(op, shape) == macs
-    assert is_dsp_bound(op) is dsp
+    assert KINDS[op.kind].macs(op, shape, output_shape(op, shape)) == macs
+    assert KINDS[op.kind].dsp_bound(op) is dsp
     assert SimulatedVPU().op_cost_ms(op, shape) == cost_ms
 
 
@@ -235,6 +234,19 @@ def test_build_lut_rejects_invalid_supernet(toy_supernet):
     with pytest.raises(Exception):
         build_lut(dev, bad)
     assert dev.calls == 0
+
+
+def test_build_lut_error_names_first_finding_as_path_and_message(toy_supernet):
+    from hwnas.errors import DeviceError
+    from hwnas.graph import MixedStage, SuperNet
+    bad = SuperNet(task=toy_supernet.task, input_shape=toy_supernet.input_shape,
+                   stem=toy_supernet.stem,
+                   stages=(MixedStage((), TensorShape(16, 8, 8), TensorShape(16, 8, 8)),),
+                   head=toy_supernet.head, num_classes=4)
+    with pytest.raises(DeviceError) as e:
+        build_lut(SimulatedVPU(), bad)
+    assert str(e.value) == ("refusing to profile invalid supernet: "
+                            "stages[0]: stage has no candidates")
 
 
 # ---------------------------------------------------------------------------
