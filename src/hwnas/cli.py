@@ -13,12 +13,13 @@ import dataclasses
 import hashlib
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import __version__, costmodel, datasets, lint, profiler, search, spaces
 from .errors import DeviceError, HwnasError, ParseError
 from .graph import CompactNet, SuperNet, Task, load_net, save_net, validate
-from .jsonio import field, from_fields, numbers, read_object, write_object
+from .jsonio import check_number, field, from_fields, numbers, read_object, write_object
 from .latency import DEFAULT_CLOCK_GHZ, compact_latency, load_lut, save_lut
 from .nncore import load_checkpoint, save_checkpoint
 
@@ -65,15 +66,20 @@ def write_manifest(out_dir, command: str, args, seed, artifacts: dict):
 # Shared argument plumbing
 # ---------------------------------------------------------------------------
 
-def _lower_bound(low, strict=False):
-    """argparse type: a value of low's type, >= low (> low when strict); NaN fails."""
+def _number(kind, bound: str):
+    """argparse type: an int or float (`kind`) that `check_number` holds to `bound`."""
     def parse(text):
-        value = type(low)(text)
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}")
-        return value
-    parse.__name__ = type(low).__name__  # argparse names it in "invalid int value"
+        return check_number(kind(text), bound, error=argparse.ArgumentTypeError)
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return parse
+
+
+def _setting(p, flag, cls, name, **kw):
+    """Add `flag` for field `name` of dataclass `cls`: its type, bound, dest and default
+    are the field's, unless `kw` gives another dest or default."""
+    f = next(f for f in dataclasses.fields(cls) if f.name == name)
+    p.add_argument(flag, type=_number(typing.get_type_hints(cls)[name], f.metadata["bound"]),
+                   **{"dest": name, "default": f.default} | kw)
 
 
 def _load_device(spec: str):
@@ -90,11 +96,11 @@ def _load_device(spec: str):
 
 
 def _add_dataset_args(p):
-    p.add_argument("--data-samples", type=_lower_bound(datasets.MIN_SAMPLES), default=400)
-    p.add_argument("--data-size", type=_lower_bound(1), default=8)
-    p.add_argument("--data-classes", type=_lower_bound(2), default=4)
-    p.add_argument("--data-noise", type=float, default=0.15)
-    p.add_argument("--data-seed", type=int, default=42)
+    _setting(p, "--data-samples", datasets.DatasetSpec, "num_samples", dest=None, default=400)
+    _setting(p, "--data-size", datasets.DatasetSpec, "image_size", dest=None, default=8)
+    p.add_argument("--data-classes", type=_number(int, f">= {datasets.MIN_CLASSES}"), default=4)
+    _setting(p, "--data-noise", datasets.DatasetSpec, "noise", dest=None)
+    _setting(p, "--data-seed", datasets.DatasetSpec, "seed", dest=None, default=42)
 
 
 def _make_dataset(task: Task, args) -> datasets.Dataset:
@@ -400,27 +406,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True, help="supernet file or builtin space name")
     p.add_argument("--device", default="sim")
     p.add_argument("--out", required=True)
-    p.add_argument("--stack-n", type=_lower_bound(1), default=profiler.DEFAULT_STACK_N)
-    p.add_argument("--trials", type=_lower_bound(1), default=profiler.DEFAULT_TRIALS)
+    p.add_argument("--stack-n", type=_number(int, ">= 1"), default=profiler.DEFAULT_STACK_N)
+    p.add_argument("--trials", type=_number(int, ">= 1"), default=profiler.DEFAULT_TRIALS)
     p.set_defaults(func=cmd_lut_build)
     p = lut.add_parser("from-model", help="predict a LUT with a trained cost model")
     p.add_argument("--net", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--clock-ghz", type=_lower_bound(0.0, strict=True), default=DEFAULT_CLOCK_GHZ)
+    p.add_argument("--clock-ghz", type=_number(float, "> 0"), default=DEFAULT_CLOCK_GHZ)
     p.set_defaults(func=cmd_lut_from_model)
 
     cm = sub.add_parser("costmodel").add_subparsers(dest="cm_cmd", required=True)
     p = cm.add_parser("train")
     p.add_argument("--records", help="profile records (.records.jsonl)")
-    p.add_argument("--simulate", type=int, default=500,
+    p.add_argument("--simulate", type=_number(int, f">= {costmodel.MIN_RECORDS}"), default=500,
                    help="generate N records from the device when --records absent")
     p.add_argument("--save-records", help="where to write simulated records")
     p.add_argument("--device", default="sim")
-    p.add_argument("--clock-ghz", type=_lower_bound(0.0, strict=True), default=DEFAULT_CLOCK_GHZ)
-    p.add_argument("--epochs", type=_lower_bound(1), default=3000)
-    p.add_argument("--lr", type=_lower_bound(0.0, strict=True), default=5e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--clock-ghz", type=_number(float, "> 0"), default=DEFAULT_CLOCK_GHZ)
+    for name in ("epochs", "lr", "seed"):
+        _setting(p, f"--{name}", costmodel.CostModelConfig, name)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_costmodel_train)
     p = cm.add_parser("eval")
@@ -433,17 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--lut", required=True)
     p.add_argument("--config", help=".search.json config file")
-    p.add_argument("--lambda1", type=_lower_bound(0.0), default=0.0)
-    p.add_argument("--lambda2", type=_lower_bound(0.0), default=0.0)
-    p.add_argument("--lr-weights", type=_lower_bound(0.0, strict=True), default=0.02)
-    p.add_argument("--lr-arch", type=_lower_bound(0.0, strict=True), default=0.2)
-    p.add_argument("--rounds", type=_lower_bound(0), default=30)
-    p.add_argument("--batch-size", type=_lower_bound(1), default=16)
-    p.add_argument("--weight-steps", dest="weight_steps_per_round", type=_lower_bound(1),
-                   default=8)
-    p.add_argument("--arch-steps", dest="arch_steps_per_round", type=_lower_bound(1),
-                   default=4)
-    p.add_argument("--seed", type=int, default=None)
+    for f in dataclasses.fields(search.SearchConfig):  # --weight-steps: weight_steps_per_round
+        flag = "--" + f.name.removesuffix("_per_round").replace("_", "-")
+        _setting(p, flag, search.SearchConfig, f.name,
+                 default=None if f.name == "seed" else f.default)
     p.add_argument("--out-dir", required=True)
     _add_dataset_args(p)
     p.set_defaults(func=cmd_search_run)
@@ -456,11 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-compact")
     p.add_argument("--net", required=True)
-    p.add_argument("--steps", type=_lower_bound(1), default=300)
-    p.add_argument("--batch-size", type=_lower_bound(1), default=32)
-    p.add_argument("--lr", type=_lower_bound(0.0, strict=True), default=0.05)
-    p.add_argument("--weight-decay", type=_lower_bound(0.0), default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=_number(int, ">= 1"), default=300)
+    p.add_argument("--batch-size", type=_number(int, ">= 1"), default=32)
+    p.add_argument("--lr", type=_number(float, "> 0"), default=0.05)
+    p.add_argument("--weight-decay", type=_number(float, ">= 0"), default=0.0)
+    p.add_argument("--seed", type=_number(int, ">= 0"), default=0)
     p.add_argument("--out", required=True)
     _add_dataset_args(p)
     p.set_defaults(func=cmd_train_compact)
@@ -469,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--lut", help="also report LUT latency of the net")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number(int, ">= 0"), default=0)
     p.add_argument("--out", help="write metrics JSON here")
     _add_dataset_args(p)
     p.set_defaults(func=cmd_eval)
@@ -477,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lint")
     p.add_argument("--net", required=True)
     p.add_argument("--strict-leaky", action="store_true")
-    p.add_argument("--streaming-threshold", type=_lower_bound(0),
+    p.add_argument("--streaming-threshold", type=_number(int, ">= 0"),
                    default=lint.DEFAULT_STREAMING_THRESHOLD_BYTES)
     p.add_argument("--out", help="write findings JSON here")
     p.add_argument("--exit-zero", action="store_true",
@@ -488,9 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", required=True)
     p.add_argument("--lut", required=True)
     p.add_argument("--device", default="sim")
-    p.add_argument("--samples", type=_lower_bound(1), default=50)
-    p.add_argument("--trials", type=_lower_bound(1), default=profiler.DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_number(int, ">= 1"), default=50)
+    p.add_argument("--trials", type=_number(int, ">= 1"), default=profiler.DEFAULT_TRIALS)
+    p.add_argument("--seed", type=_number(int, ">= 0"), default=0)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_calibrate)
 

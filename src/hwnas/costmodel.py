@@ -27,8 +27,8 @@ from .errors import (EmptySet, HwnasError, InsufficientData, InvalidOp, NonFinit
                      ParseError)
 from .graph import (KINDS, OperatorSpec, OpKind, SuperNet, TensorShape, _op_from_json,
                     _op_to_json, _shape_from_json, output_shape)
-from .jsonio import (array_from_json, array_to_json, field, loads_object, read_object,
-                     read_text, write_object)
+from .jsonio import (array_from_json, array_to_json, bounded, check_fields, field,
+                     from_fields, loads_object, read_object, read_text, write_object)
 from .latency import DEFAULT_CLOCK_GHZ, LatencyTable
 from .profiler import enumerate_search_space
 
@@ -41,6 +41,7 @@ HIDDEN = (64, 64)    # widths of the two hidden layers
 VAL_FRACTION = 0.2   # share of the records held out for validation
 RESTARTS = 5         # independent initialisations; the best validation snapshot wins
 VAL_EVERY = 25       # epochs between validation checkpoints
+MIN_RECORDS = 50     # the fewest records `train_cost_model` fits
 _ARRAYS = ("w1", "b1", "w2", "b2", "w3", "feat_mean", "feat_std")  # model file order
 _PARAM_SHAPES = {"w1": (HIDDEN[0], FEATURE_DIM), "b1": (HIDDEN[0],),
                  "w2": (HIDDEN[1], HIDDEN[0]), "b2": (HIDDEN[1],), "w3": (HIDDEN[1],),
@@ -51,12 +52,10 @@ _PARAM_SHAPES = {"w1": (HIDDEN[0], FEATURE_DIM), "b1": (HIDDEN[0],),
 class ProfileRecord:
     op: OperatorSpec
     input_shape: TensorShape
-    measured_cycles: float
+    measured_cycles: float = bounded("> 0")
 
     def __post_init__(self):
-        if not math.isfinite(self.measured_cycles) or self.measured_cycles <= 0:
-            raise ValueError(f"measured_cycles must be finite and > 0, "
-                             f"got {self.measured_cycles}")
+        check_fields(self)
 
 
 def encode_features(op: OperatorSpec, input_shape: TensorShape) -> np.ndarray:
@@ -75,9 +74,12 @@ def encode_features(op: OperatorSpec, input_shape: TensorShape) -> np.ndarray:
 
 @dataclass
 class CostModelConfig:
-    epochs: int = 3000
-    lr: float = 5e-3
-    seed: int = 0
+    epochs: int = bounded(">= 1", 3000)
+    lr: float = bounded("> 0", 5e-3)
+    seed: int = bounded(">= 0", 0)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
@@ -215,12 +217,12 @@ def train_cost_model(records, config: CostModelConfig = None):
     keeps the snapshot with the lowest validation loss seen at any checkpoint:
     with a few hundred records the loss surface is rough enough that single
     runs land in noticeably different minima. Deterministic given config.seed;
-    raises InsufficientData below 50 records.
+    raises InsufficientData below MIN_RECORDS records.
     """
     cfg = config or CostModelConfig()
     records = list(records)
-    if len(records) < 50:
-        raise InsufficientData(f"need >= 50 records, got {len(records)}")
+    if len(records) < MIN_RECORDS:
+        raise InsufficientData(f"need >= {MIN_RECORDS} records, got {len(records)}")
     feats = np.stack([encode_features(r.op, r.input_shape) for r in records])
     targets = np.log(np.array([r.measured_cycles for r in records]))
 
@@ -313,9 +315,8 @@ def load_records(path) -> list:
         op = _op_from_json(doc["op"], where)
         shape = _shape_from_json(doc["input_shape"], where)
         cycles = float(field(doc, "measured_cycles", float, where))
-        if cycles <= 0:
-            raise ParseError(f"measured_cycles must be > 0, got {cycles!r}", where)
-        records.append(ProfileRecord(op, shape, cycles))
+        records.append(from_fields(ProfileRecord, {"op": op, "input_shape": shape,
+                                                   "measured_cycles": cycles}, where))
     return records
 
 

@@ -16,27 +16,28 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .graph import Task
+from .jsonio import bounded, check_fields, check_number
 
 PSNR_CAP_DB = 99.0
 MIN_SAMPLES = 7  # the fewest samples whose 70/15/15 split leaves no part empty
+MIN_CLASSES = 2
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
     task: Task
-    num_samples: int
-    image_size: int
+    num_samples: int = bounded(f">= {MIN_SAMPLES}")
+    image_size: int = bounded(">= 1")
     num_classes: int = 0
     sr_scale: int = 0
-    seed: int = 0
-    noise: float = 0.15
+    seed: int = bounded(">= 0", 0)
+    noise: float = bounded(">= 0", 0.15)
 
     def __post_init__(self):
         object.__setattr__(self, "task", Task(self.task))
-        if self.num_samples < 1 or self.image_size < 1:
-            raise ValueError("num_samples and image_size must be positive")
-        if self.task is Task.Classification and self.num_classes < 2:
-            raise ValueError("classification needs num_classes >= 2")
+        check_fields(self)
+        if self.task is Task.Classification:
+            check_number(self.num_classes, f">= {MIN_CLASSES}", "num_classes")
         if self.task is Task.SuperResolution and self.sr_scale != 2:
             raise ValueError("sr_scale must be 2")
 
@@ -125,8 +126,7 @@ def psnr(pred: np.ndarray, target: np.ndarray, peak: float = 1.0) -> PsnrResult:
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
-    if peak <= 0:
-        raise ValueError("peak must be positive")
+    check_number(peak, "> 0", "peak")
     mse = float(np.mean((pred - target) ** 2))
     if mse == 0.0:
         return PsnrResult(PSNR_CAP_DB, True)

@@ -6,10 +6,15 @@ is not UTF-8, invalid JSON, a top level that is not an object, a missing or
 wrongly typed field and a malformed array each end in a `ParseError` naming
 the file. A JSON number is an int or a float, never a bool, and must be
 finite as a float.
+
+Every numeric setting passes `check_number`, finite first and then its bound:
+dataclasses declare bounds on their fields (`bounded`, `check_fields`), and
+the CLI builds its numeric flag types from it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -123,3 +128,24 @@ def from_fields(cls, doc: dict, where):
         return cls(**doc)
     except (TypeError, ValueError) as e:
         raise ParseError(str(e), where)
+
+
+def check_number(value, bound: str, name: str = "value", error=ValueError):
+    """`value` if it is finite and meets `bound` ("> 0", ">= 1", ...); else `error`."""
+    op, low = bound.split()
+    finite = isinstance(value, int) or math.isfinite(value)  # isfinite overflows past 1e308
+    if not (finite and (value > float(low) if op == ">" else value >= float(low))):
+        raise error(f"{name} must be finite and {bound}, got {value!r}")
+    return value
+
+
+def bounded(bound: str, default=dataclasses.MISSING):
+    """A dataclass field whose value `check_fields` holds to `bound`."""
+    return dataclasses.field(default=default, metadata={"bound": bound})
+
+
+def check_fields(obj) -> None:
+    """`check_number` on every field of dataclass `obj` declared with `bounded`."""
+    for f in dataclasses.fields(obj):
+        if "bound" in f.metadata:
+            check_number(getattr(obj, f.name), f.metadata["bound"], f.name)

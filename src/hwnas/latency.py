@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LengthMismatch, MissingEntry, NotNormalized
 from .graph import CompactNet, OperatorSpec, SuperNet, TensorShape, canonical_key, walk
-from .jsonio import field, from_fields, read_object, write_object
+from .jsonio import check_number, field, from_fields, read_object, write_object
 
 DEFAULT_CLOCK_GHZ = 0.7  # cycles <-> ms conversion when a table comes from a cost model
 
@@ -36,8 +36,7 @@ class LatencyTable:
         if self.source not in LUT_SOURCES:
             raise ValueError(f"unknown LUT source {self.source!r}")
         for key, v in self.entries.items():
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"latency for {key!r} must be finite and >= 0, got {v}")
+            check_number(v, ">= 0", f"latency for {key!r}")
 
 
 def lookup(lut: LatencyTable, op: OperatorSpec, input_shape: TensorShape) -> float:

@@ -24,23 +24,13 @@ import numpy as np
 from .errors import DeviceError, NotStackable
 from .graph import (KINDS, CompactNet, OperatorSpec, OpKind, SuperNet, Task, TensorShape,
                     canonical_key, output_shape, save_net, validate, walk)
+from .jsonio import bounded, check_fields
 from .latency import LatencyTable, compact_latency
 
 log = logging.getLogger(__name__)
 
 DEFAULT_STACK_N = 20
 DEFAULT_TRIALS = 5
-
-
-_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
-
-
-def _check_range(device, names, bound: str) -> None:
-    """ValueError naming the first of the device's `names` not `bound` (NaN fails)."""
-    for name in names:
-        value = getattr(device, name)
-        if not _BOUNDS[bound](value):
-            raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 @dataclass
@@ -54,20 +44,17 @@ class SimulatedVPU:
     DSP-bound operators so searches can discover those rules end to end.
     """
 
-    clock_ghz: float = 0.7
-    macs_per_cycle: float = 256.0
-    graph_overhead_ms: float = 0.2
-    dma_ms_per_mb: float = 0.01
-    channel_granularity: int = 16
-    dsp_penalty_factor: float = 10.0
-    noise_sigma_rel: float = 0.0
-    seed: int = 0
+    clock_ghz: float = bounded("> 0", 0.7)
+    macs_per_cycle: float = bounded("> 0", 256.0)
+    graph_overhead_ms: float = bounded(">= 0", 0.2)
+    dma_ms_per_mb: float = bounded(">= 0", 0.01)
+    channel_granularity: int = bounded(">= 1", 16)
+    dsp_penalty_factor: float = bounded("> 0", 10.0)
+    noise_sigma_rel: float = bounded(">= 0", 0.0)
+    seed: int = bounded(">= 0", 0)
 
     def __post_init__(self):
-        _check_range(self, ("clock_ghz", "macs_per_cycle", "dsp_penalty_factor"), "> 0")
-        _check_range(self, ("graph_overhead_ms", "dma_ms_per_mb", "noise_sigma_rel"),
-                     ">= 0")
-        _check_range(self, ("channel_granularity",), ">= 1")
+        check_fields(self)
         self._rng = np.random.default_rng(self.seed)
 
     @property
@@ -114,11 +101,11 @@ class ExternalCommandRunner:
     """
 
     command_template: str
-    timeout_s: float = 60.0
+    timeout_s: float = bounded("> 0", 60.0)
     name: str = "external"
 
     def __post_init__(self):
-        _check_range(self, ("timeout_s",), "> 0")
+        check_fields(self)
 
     def run(self, net: CompactNet, trials: int) -> list:
         with tempfile.TemporaryDirectory() as tmp:

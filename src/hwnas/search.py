@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NonFiniteLoss, NotNormalized
 from .graph import CompactNet, SuperNet, Task, walk
+from .jsonio import bounded, check_fields
 from .latency import (LatencyTable, expected_network_latency, fixed_latency,
                       latency_alpha_grad, stage_latency_vectors)
 from .nncore import ModuleInstance, loss_ce, loss_mse, sgd_step
@@ -81,25 +82,18 @@ class ArchParams:
 
 @dataclass
 class SearchConfig:
-    lambda1: float = 0.0
-    lambda2: float = 0.0
-    lr_weights: float = 0.02
-    lr_arch: float = 0.2
-    weight_steps_per_round: int = 8
-    arch_steps_per_round: int = 4
-    rounds: int = 30
-    batch_size: int = 16
-    seed: int = 0
+    lambda1: float = bounded(">= 0", 0.0)
+    lambda2: float = bounded(">= 0", 0.0)
+    lr_weights: float = bounded("> 0", 0.02)
+    lr_arch: float = bounded("> 0", 0.2)
+    rounds: int = bounded(">= 0", 30)
+    batch_size: int = bounded(">= 1", 16)
+    weight_steps_per_round: int = bounded(">= 1", 8)
+    arch_steps_per_round: int = bounded(">= 1", 4)
+    seed: int = bounded(">= 0", 0)
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda1/lambda2 must be non-negative")
-        if self.lr_weights <= 0 or self.lr_arch <= 0 or self.batch_size < 1:
-            raise ValueError("learning rates and batch size must be positive")
-        if self.weight_steps_per_round < 1 or self.arch_steps_per_round < 1:
-            raise ValueError("steps per round must be positive")
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 
 import hwnas
 from hwnas import costmodel
-from hwnas.cli import content_hash, main
+from hwnas.cli import build_parser, content_hash, main
 from hwnas.errors import DeviceError
 from hwnas.graph import (CompactNet, OperatorSpec, OpKind, Task, TensorShape,
                          save_net)
@@ -302,6 +303,7 @@ FLAG_COMMANDS = {
     "calibrate": ["calibrate", "--net", "toy-classification", "--lut", "{tmp}/t.lut.json",
                   "--out-prefix", "{tmp}/cal/c"],
     "lint": ["lint", "--net", "{tmp}/c.net.json"],
+    "eval": ["eval", "--net", "{tmp}/c.net.json", "--checkpoint", "{tmp}/w.json"],
 }
 
 OUT_OF_RANGE_FLAGS = [
@@ -320,6 +322,22 @@ OUT_OF_RANGE_FLAGS = [
     ("train-compact", "--lr", "0"), ("train-compact", "--lr", "-1"),
     ("train-compact", "--weight-decay", "-1"), ("costmodel train", "--lr", "0"),
     ("costmodel train", "--lr", "-1"), ("lint", "--streaming-threshold", "-1"),
+    # non-finite values of every float flag
+    ("lut from-model", "--clock-ghz", "inf"), ("lut from-model", "--clock-ghz", "nan"),
+    ("costmodel train", "--clock-ghz", "inf"), ("costmodel train", "--clock-ghz", "nan"),
+    ("costmodel train", "--lr", "inf"), ("costmodel train", "--lr", "nan"),
+    ("train-compact", "--lr", "inf"), ("train-compact", "--lr", "nan"),
+    ("search run", "--lr-weights", "inf"), ("search run", "--lr-weights", "nan"),
+    ("search run", "--lr-arch", "inf"), ("search run", "--lr-arch", "nan"),
+    ("search run", "--lambda1", "inf"), ("search run", "--lambda1", "nan"),
+    ("train-compact", "--weight-decay", "inf"), ("train-compact", "--weight-decay", "nan"),
+    ("train-compact", "--data-noise", "inf"), ("train-compact", "--data-noise", "nan"),
+    ("train-compact", "--data-noise", "-1"),
+    # numpy seeds must be >= 0; the cost model needs 50 records
+    ("search run", "--seed", "-1"), ("costmodel train", "--seed", "-1"),
+    ("train-compact", "--seed", "-1"), ("train-compact", "--data-seed", "-1"),
+    ("eval", "--seed", "-1"), ("calibrate", "--seed", "-1"),
+    ("costmodel train", "--simulate", "49"),
 ]
 
 
@@ -341,6 +359,30 @@ def test_out_of_range_flag_exit_2(command, flag, value, tmp_path, capsys):
         run_cli(*argv)
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.net.json", "m.json", "t.lut.json"]
+
+
+def _options(parser, command=()):
+    """(command words, action) for every option of `parser` and its subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _options(sub, (*command, name))
+        elif action.option_strings:
+            yield command, action
+
+
+def test_every_float_flag_rejects_inf(capsys):
+    """A float flag added without the finite-then-bounded type fails here."""
+    floats = [(command, action.option_strings[0])
+              for command, action in _options(build_parser())
+              if getattr(action.type, "__name__", None) == "float"]
+    assert len(floats) >= 10
+    for command, flag in floats:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, flag, "inf")
+        assert exc.value.code == 2, (command, flag)
+        assert f"argument {flag}: " in capsys.readouterr().err, (command, flag)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

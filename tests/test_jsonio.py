@@ -3,16 +3,18 @@ replaced by a random JSON value (NaN and infinities included, as Python's
 `json` writes them), and the loader must either return or raise
 `HwnasError`, which the CLI turns into exit 1."""
 
+import dataclasses
 import json
 import math
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hwnas import cli, costmodel, graph, nncore, search, spaces
+from hwnas import cli, costmodel, datasets, graph, nncore, profiler, search, spaces
 from hwnas.errors import HwnasError, ParseError
-from hwnas.jsonio import field, from_fields, read_object
+from hwnas.jsonio import check_number, field, from_fields, read_object
 from hwnas.latency import LatencyTable, load_lut, save_lut
 
 JSON_VALUES = st.recursive(
@@ -112,3 +114,32 @@ def test_field_number_rules():
                        ("float", int), ("missing", int)]:
         with pytest.raises(ParseError):
             field(doc, name, kind, "f")
+
+
+def test_check_number_requires_finite_then_bound():
+    assert check_number(10 ** 400, ">= 0") == 10 ** 400  # ints are finite at any size
+    assert check_number(0.5, "> 0") == 0.5
+    for value, bound in [(math.nan, ">= 0"), (math.inf, "> 0"), (-math.inf, ">= 0"),
+                         (0, "> 0"), (0.5, ">= 1")]:
+        with pytest.raises(ValueError, match=f"^x must be finite and {bound}, got"):
+            check_number(value, bound, "x")
+
+
+# each dataclass with bounded fields -> the arguments it needs besides them
+BOUNDED = {search.SearchConfig: {}, costmodel.CostModelConfig: {},
+           datasets.DatasetSpec: {"task": graph.Task.Classification, "num_samples": 10,
+                                  "image_size": 4, "num_classes": 2},
+           profiler.SimulatedVPU: {}, profiler.ExternalCommandRunner: {"command_template": "true"}}
+
+
+@pytest.mark.parametrize("cls", BOUNDED, ids=lambda cls: cls.__name__)
+def test_bounded_float_fields_reject_non_finite(cls):
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)
+             if "bound" in f.metadata and hints[f.name] is float]
+    assert names
+    cls(**BOUNDED[cls])
+    for name in names:
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                cls(**BOUNDED[cls] | {name: value})
