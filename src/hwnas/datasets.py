@@ -75,15 +75,12 @@ def generate_classification_dataset(spec: DatasetSpec) -> Dataset:
         freq = 2.0 * (1 + cls % 2)
         base = np.sin(2 * math.pi * freq * (xx * math.cos(theta) + yy * math.sin(theta)) / s)
         templates.append(np.stack([base, np.roll(base, 1, axis=0), np.roll(base, 1, axis=1)]))
-    images, labels = [], []
-    for i in range(spec.num_samples):
-        cls = i % spec.num_classes
+    x = np.empty((spec.num_samples,) + templates[0].shape)
+    y = np.arange(spec.num_samples, dtype=np.int64) % spec.num_classes
+    for i, cls in enumerate(y):
         amp = rng.uniform(0.8, 1.2)
-        img = amp * templates[cls] + spec.noise * rng.standard_normal(templates[cls].shape)
-        images.append(img)
-        labels.append(cls)
-    x = np.asarray(images, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+        np.multiply(amp, templates[cls], out=x[i])
+        x[i] += spec.noise * rng.standard_normal(templates[cls].shape)
     return _split_703015(x, y, rng)
 
 
@@ -98,20 +95,18 @@ def generate_sr_dataset(spec: DatasetSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     hr_size = spec.image_size * spec.sr_scale
     yy, xx = np.meshgrid(np.arange(hr_size), np.arange(hr_size), indexing="ij")
-    lr_list, hr_list = [], []
-    for _ in range(spec.num_samples):
-        img = np.zeros((3, hr_size, hr_size))
+    hr = np.empty((spec.num_samples, 3, hr_size, hr_size))
+    lr = np.empty((spec.num_samples, 3, spec.image_size, spec.image_size))
+    for img, small in zip(hr, lr):
+        img[...] = 0.0
         for _ in range(4):
             fx, fy = rng.uniform(0.5, 4.0, size=2)
             phase = rng.uniform(0, 2 * math.pi, size=3)
             amp = rng.uniform(0.1, 0.4)
             wave = 2 * math.pi * (fx * xx + fy * yy) / hr_size
             img += amp * np.sin(wave[None, :, :] + phase[:, None, None])
-        img = (img - img.min()) / max(img.max() - img.min(), 1e-9)
-        hr_list.append(img)
-        lr_list.append(box_downsample(img, spec.sr_scale))
-    hr = np.asarray(hr_list, dtype=np.float64)
-    lr = np.asarray(lr_list, dtype=np.float64)
+        img[...] = (img - img.min()) / max(img.max() - img.min(), 1e-9)
+        small[...] = box_downsample(img, spec.sr_scale)
     return _split_703015(lr, hr, rng)
 
 

@@ -26,6 +26,24 @@ back. For the same reason the DWConv input-gradient products read a
 channel-major contiguous copy of the output gradient, not the gradient the
 next layer hands down, which is usually the crop of a padded buffer.
 
+The large-map kernels bound their transient buffers by one budget,
+TILE_BYTES (6 MiB). A G = 1 conv builds its window matrix, and runs its
+forward product, its input-gradient product and the window scatter, over
+tiles of whole samples: the fewest near-equal tiles whose per-sample buffers
+fit the budget. Its weight gradient stays one contraction over B*Ho*Wo,
+since a contraction split into partial sums sums in another order; it
+gathers the window operand in blocks of input channels instead, and fills
+dw's columns one block at a time. A projecting upsampler resamples,
+projects and takes its input gradient over sample tiles too, and keeps the
+resampled map whole for its weight gradient. A batch whose buffers fit is
+one tile and one block and makes the calls it made before tiling: every
+toy-classification shape does. A DWConv is never split. A split keeps the
+bits of the whole product only where OpenBLAS computes each piece with the
+whole product's kernel, so each piece gets 2^20 multiply-adds, and a piece
+of a product's columns spans a multiple of 8 of them or very few (see the
+tile helpers); and tiles are joined in the memory layout of the whole
+batch's result.
+
 Every value a kernel computes, and the memory layout of its output and input
 gradient, is bitwise equal to the plain einsum formulation (sliding windows,
 one einsum per product, window gradients scattered in i-then-j order), so
@@ -54,6 +72,15 @@ from .jsonio import array_from_json, array_to_json, field, read_object, write_ob
 
 CHECKPOINT_VERSION = 1
 
+# The transient-buffer budget of the large-map kernels, in bytes: what the
+# buffers of one sample tile, or of one weight-gradient channel block, may
+# hold (see the tile helpers).
+TILE_BYTES = 6 << 20
+# The fewest multiply-adds a piece of a split product is given. OpenBLAS
+# computes a product of fewer than about 10^6 with a small-matrix kernel,
+# which sums a long contraction in another order than the whole product's.
+_SPLIT_MACS = 1 << 20
+
 
 class Parameter:
     """A learnable array with an accumulated gradient of identical shape."""
@@ -71,6 +98,51 @@ class Parameter:
 def _kaiming_uniform(shape, fan_in, rng):
     bound = math.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
+
+
+# ---------------------------------------------------------------------------
+# Tiles: bounded transient buffers
+# ---------------------------------------------------------------------------
+
+def _runs(n, per, least=1, step=1):
+    """The n samples (or channels) of a product as near-equal runs of at most
+    `per`, of at least `least` where n allows, and each but the last a
+    multiple of `step`; one run if n <= per."""
+    units = -(-n // step)
+    count = max(1, min(-(-n // per), n // least, units))
+    bounds = [min(n, step * (units * i // count)) for i in range(count + 1)]
+    return [slice(a, z) for a, z in zip(bounds, bounds[1:])]
+
+
+def _joined(f, tiles, order):
+    """f(s) for each sample tile s, joined along axis 0 into one array whose
+    axes lie in memory in `order`; f's result itself for one tile."""
+    first = f(tiles[0])
+    if len(tiles) == 1:
+        return first
+    shape = (tiles[-1].stop,) + first.shape[1:]
+    out = np.empty([shape[a] for a in order]).transpose(np.argsort(order))
+    out[tiles[0]] = first
+    del first
+    for s in tiles[1:]:
+        out[s] = f(s)
+    return out
+
+
+def _einsum_order(subscripts, *operands):
+    """The memory order, outermost axis first, of the result of
+    np.einsum(subscripts, *operands, optimize=True), without computing it.
+
+    Its last step is one pairwise product, whose result holds the kept axes
+    of its left operand, then those of its right one. Which operands those
+    are, and the axis order of an intermediate, numpy's einsum_path decides
+    from the operand sizes (einsum_call=True returns the steps np.einsum
+    runs): a three-operand chain's layout changes with the batch size, so
+    the whole batch's layout is not a tile's.
+    """
+    _, steps = np.einsum_path(subscripts, *operands, optimize=True, einsum_call=True)
+    inputs, output = steps[-1][1].split("->")
+    return [output.index(a) for a in inputs.replace(",", "") if a in output]
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +246,18 @@ def _window_operand(x, k, stride, groups):
     return out.reshape(shape)
 
 
-def _scatter_windows(window_grad, shape, k, stride, channel_major=False):
-    """Adjoint of the window gather: the [B,C,H,W] sum, in i-then-j order, of
-    window_grad(i, j), the [B,C,Ho,Wo] gradient at window offset (i, j)
-    ([C,B,...] in `shape` and window_grad with `channel_major`).
+def _padded_crop(shape, k):
+    """An empty [B,C,H,W] array laid out as the crop of a [B,C,H+2p,W+2p]
+    buffer: the reference's input-gradient layout, so that reductions over it
+    sum in the same order."""
+    p, (b, c, h, w) = (k - 1) // 2, shape
+    return np.empty((b, c, h + 2 * p, w + 2 * p))[:, :, p:p + h, p:p + w]
+
+
+def _scatter_windows(window_grad, out, k, stride):
+    """Adjoint of the window gather: write into the [A,M,H,W] array `out` the
+    sum, in i-then-j order, of window_grad(i, j), the [A,M,Ho,Wo] gradient at
+    window offset (i, j); return out.
 
     Each offset is one add into the one flat run that holds every map back
     to back (see the window helpers for why one run), a contiguous 1-D ufunc
@@ -188,11 +268,9 @@ def _scatter_windows(window_grad, shape, k, stride, channel_major=False):
     first spread over one zeroed [...,H,W] slab, since output (y, x) at
     stride s is stride-1 output (s*y, s*x). Every add the reference does not
     make adds +0.0, and the sums start at +0.0 and so never hold -0.0: each
-    such add leaves the sum bitwise unchanged. The result is copied into the
-    crop of a [B,C,H+2p,W+2p] buffer, the reference layout, so that
-    reductions over it sum in the same order.
+    such add leaves the sum bitwise unchanged.
     """
-    h, w = shape[2:]
+    shape, w = out.shape, out.shape[-1]
     acc, maps = _flat_run(shape, k)
     n = math.prod(shape)
     # each offset overwrites the strided entries; the others only ever get zeros
@@ -205,14 +283,8 @@ def _scatter_windows(window_grad, shape, k, stride, channel_major=False):
                 slab = spread
             _zero_padding_taps(slab, i, j, k)
             acc[i * w + j:i * w + j + n] += slab.reshape(n)
-    dx = acc[maps].reshape(shape)
-    if channel_major:
-        dx = dx.transpose(1, 0, 2, 3)
-    p = (k - 1) // 2
-    buf = np.empty(dx.shape[:2] + (h + 2 * p, w + 2 * p))
-    crop = buf[:, :, p:p + h, p:p + w]
-    crop[...] = dx
-    return crop
+    out[...] = acc[maps].reshape(shape)
+    return out
 
 
 def _bilinear_matrix(out_size, in_size, scale):
@@ -233,10 +305,41 @@ def _bilinear_matrix(out_size, in_size, scale):
 # Primitive forward/backward pairs
 # ---------------------------------------------------------------------------
 
+def _sample_tiles(x_shape, w_shape, stride):
+    """The sample tiles of a G = 1 convolution: a tile's stride-1 window
+    matrix and flat run, (k*k + 1)*C*H*W doubles a sample, fit in TILE_BYTES,
+    and its products, O*C*k*k*Ho*Wo multiply-adds a sample, get _SPLIT_MACS.
+
+    A tile splits the columns of its products. OpenBLAS computes the last
+    N mod 8 columns of a product with narrower kernels, which sum in another
+    order, so each tile but the last spans a multiple of 8 columns.
+    """
+    (n, c, h, w), (o, _, k, _) = x_shape, w_shape
+    pixels = len(range(0, h, stride)) * len(range(0, w, stride))
+    return _runs(n, max(1, TILE_BYTES // ((k * k + 1) * c * h * w * 8)),
+                 -(-_SPLIT_MACS // (o * c * k * k * pixels)), 8 // math.gcd(pixels, 8))
+
+
+def _channel_blocks(c, o, pixels, k):
+    """The input-channel blocks of a G = 1 conv weight gradient, an
+    [O, pixels] @ [pixels, C*k*k] product: a block's window operand,
+    pixels*k*k doubles a channel, fits in TILE_BYTES, and its product gets
+    _SPLIT_MACS. A block splits the columns of the product, so it holds a
+    multiple of 8 channels (see _sample_tiles) or, where 8 do not fit, one
+    channel or the fewest that get _SPLIT_MACS: so few columns are one
+    block of OpenBLAS's kernel, which sums them as the whole product does."""
+    per = TILE_BYTES // (pixels * k * k * 8)
+    least = -(-_SPLIT_MACS // (o * pixels * k * k))
+    if per >= c:
+        return [slice(0, c)]
+    return _runs(c, per // 8 * 8, least, 8) if per >= 8 else _runs(c, 1, least)
+
+
 def _conv_forward(x, w, b, stride):
     """[B,C,H,W] x convolved with the [O, C/G, k, k] weight w of G groups:
     G = 1 for a Conv or PointwiseConv, G = C for a DWConv."""
     o, cg, k = w.shape[0], w.shape[1], w.shape[-1]
+    n = x.shape[0]
     groups = x.shape[1] // cg
     if cg * k * k == 1 or x.shape[3] <= stride:
         # einsum makes no matmul for a one-term contraction (a PointwiseConv
@@ -246,19 +349,25 @@ def _conv_forward(x, w, b, stride):
         win = _windows(x, k, stride)
         out = (np.einsum("bchwij,ocij->bohw", win, w, optimize=True) if groups == 1
                else np.einsum("bchwij,cij->bchw", win, w[:, 0], optimize=True))
-    else:
-        # the batched matmul einsum makes, on equal operands, so equal bit for bit
-        cols = _window_matrix(x, k, stride)
+        return out + b[None, :, None, None]
+
+    def tile(s):
+        # the batched matmul einsum makes, on equal operands, so equal bit for
+        # bit; [O,b,Ho,Wo] in memory
+        cols = _window_matrix(x[s], k, stride)
         out = (w.reshape(groups, o // groups, cg * k * k)
                @ cols.reshape(groups, cg * k * k, -1))
-        out = out.reshape((o,) + cols.shape[3:]).transpose(1, 0, 2, 3)
-    return out + b[None, :, None, None]
+        return out.reshape((o,) + cols.shape[3:]).transpose(1, 0, 2, 3)
+    # G = C (a DWConv) stays one product, since its matrix-vector products
+    # round by column position
+    tiles = _sample_tiles(x.shape, w.shape, stride) if groups == 1 else [slice(0, n)]
+    return _joined(tile, tiles, (1, 0, 2, 3)) + b[None, :, None, None]
 
 def _conv_backward(g, w, x, stride, input_grad, param_grads):
     """(dx, dw, db) of _conv_forward; dx is None without input_grad, dw and db
     without param_grads."""
     o, cg, k = w.shape[0], w.shape[1], w.shape[-1]
-    n, c, h, ww = x.shape
+    n, c = x.shape[:2]
     groups = c // cg
     dx = dw = db = None
     # channel-major, and a contiguous copy unless g already is channel-major:
@@ -267,32 +376,49 @@ def _conv_backward(g, w, x, stride, input_grad, param_grads):
     go = g.transpose(1, 0, 2, 3).reshape(o, -1)
     if param_grads:
         # the batched matmul einsum makes: per group, g [O/G, B*Ho*Wo] @
-        # windows [B*Ho*Wo, C/G*k*k]; the window operand is freed before dx
-        dw = (go.reshape(groups, o // groups, -1)
-              @ _window_operand(x, k, stride, groups)).reshape(w.shape)
+        # windows [B*Ho*Wo, C/G*k*k], one contraction over B*Ho*Wo, since a
+        # split one would sum in another order. For G = 1 and k > 1 the
+        # window operand is gathered, and dw's columns filled, one block of
+        # input channels at a time. Each operand is freed before dx.
+        blocks = (_channel_blocks(c, o, go.shape[1], k) if groups == 1 and k > 1
+                  else [slice(0, c)])
+        dw = np.concatenate([go.reshape(groups, o // groups, -1)
+                             @ _window_operand(x[:, s], k, stride, groups)
+                             for s in blocks], axis=-1).reshape(w.shape)
         # over g in its own layout, which sets the order of the sum
         db = g.sum(axis=(0, 2, 3))
     if input_grad:
+        dx = _padded_crop(x.shape, k)
         if groups == 1:
-            # rows in (i, j, c) order, so each window offset's slab t[i, j] is
-            # one contiguous [C,B,Ho,Wo] run; permuting the rows of a matrix
-            # product leaves the order of each dot product as it was. A
-            # matrix-vector product (one output pixel at batch 1) sums a row
-            # in an order that depends on its position, so there the rows
-            # keep einsum's order.
-            if go.shape[1] > 1:
-                t = (w.transpose(2, 3, 1, 0).reshape(k * k * c, o) @ go).reshape(
-                    (k, k, c, n) + g.shape[2:])
-            else:
-                t = (w.transpose(1, 2, 3, 0).reshape(c * k * k, o) @ go).reshape(
-                    (c, k, k, n) + g.shape[2:]).transpose(1, 2, 0, 3, 4, 5)
-            window_grad = lambda i, j: t[i, j]
+            # per sample tile; rows in (i, j, c) order, so each window
+            # offset's slab t[i, j] is one contiguous [C,b,Ho,Wo] run;
+            # permuting the rows of a matrix product leaves the order of each
+            # dot product as it was. A matrix-vector product (one output
+            # pixel at batch 1) sums a row in an order that depends on its
+            # position, so there the rows keep einsum's order.
+            gm = go.reshape(o, n, -1)
+
+            # a function, so that each tile's product is freed before the
+            # next one is made
+            def tile(s):
+                gs = gm[:, s].reshape(o, -1)
+                grad_shape = (c, s.stop - s.start) + g.shape[2:]
+                if gs.shape[1] > 1:
+                    t = (w.transpose(2, 3, 1, 0).reshape(k * k * c, o) @ gs).reshape(
+                        (k, k) + grad_shape)
+                else:
+                    t = (w.transpose(1, 2, 3, 0).reshape(c * k * k, o) @ gs).reshape(
+                        (c, k, k) + grad_shape[1:]).transpose(1, 2, 0, 3, 4, 5)
+                _scatter_windows(lambda i, j: t[i, j], dx[s].transpose(1, 0, 2, 3),
+                                 k, stride)
+            for s in _sample_tiles(x.shape, w.shape, stride):
+                tile(s)
         else:
             # every window offset's depthwise product goes into the same buffer
             prod, grad_shape = np.empty(go.shape), (c, n) + g.shape[2:]
             window_grad = lambda i, j: np.multiply(
                 go, w[:, 0, i, j, None], out=prod).reshape(grad_shape)
-        dx = _scatter_windows(window_grad, (c, n, h, ww), k, stride, channel_major=True)
+            _scatter_windows(window_grad, dx.transpose(1, 0, 2, 3), k, stride)
     return dx, dw, db
 
 
@@ -357,7 +483,8 @@ def _avgpool_backward(m, g, shape, input_grad, param_grads):
     s = m.spec
     gk = g / (s.kernel * s.kernel)
     # the scatter zeroes each slab's padding taps: one copy per offset
-    return _scatter_windows(lambda i, j: gk.copy(), shape, s.kernel, s.stride)
+    return _scatter_windows(lambda i, j: gk.copy(), _padded_crop(shape, s.kernel),
+                            s.kernel, s.stride)
 
 
 def _maxpool(m, x):
@@ -373,28 +500,51 @@ def _maxpool_backward(m, g, cache, input_grad, param_grads):
     # offset-major, so each offset's slab t[i*k + j] is contiguous
     t = np.zeros((s.kernel * s.kernel,) + g.shape)
     np.put_along_axis(t, idx[None], g[None], axis=0)
-    return _scatter_windows(lambda i, j: t[i * s.kernel + j], shape, s.kernel, s.stride)
+    return _scatter_windows(lambda i, j: t[i * s.kernel + j], _padded_crop(shape, s.kernel),
+                            s.kernel, s.stride)
+
+
+def _upsample_tiles(m, up_shape):
+    """The sample tiles of a projecting resampler by r onto [B,C,rH,rW] maps:
+    a tile's resampled map and the projection's copy of it, 2*C*rH*rW
+    doubles a sample, fit in TILE_BYTES, and its smallest product,
+    C*rH*rW*min(O, H, W) multiply-adds a sample, gets _SPLIT_MACS. Its
+    products split their rows, not their columns. A resampler without a
+    projection is one tile."""
+    n, c, hh, ww = up_shape
+    if "weight" not in m.params:
+        return [slice(0, n)]
+    r, big = m.spec.scale_factor, c * hh * ww
+    macs = big * min(m.spec.out_channels, hh // r, ww // r)
+    return _runs(n, max(1, TILE_BYTES // (2 * big * 8)), -(-_SPLIT_MACS // macs))
 
 
 def _project(m, up, extra=()):
-    """Optional channel projection after resampling; (out, cache)."""
+    """Optional channel projection after resampling, tile by tile; (out, cache)."""
     if "weight" not in m.params:
         return up, (up.shape,) + extra
-    out = np.einsum("oc,bchw->bohw", m.params["weight"].value, up, optimize=True) \
-        + m.params["bias"].value[None, :, None, None]
+    w, b = m.params["weight"].value, m.params["bias"].value
+    out = _joined(lambda s: np.einsum("oc,bchw->bohw", w, up[s], optimize=True)
+                  + b[None, :, None, None],
+                  _upsample_tiles(m, up.shape), _einsum_order("oc,bchw->bohw", w, up))
     return out, (up.shape, up) + extra
 
-def _unproject(m, g, cache, input_grad, param_grads):
-    """Backward of the optional projection: the resampled map's gradient."""
+def _unproject(m, g, cache, input_grad, param_grads, unsample, order):
+    """Backward of the optional projection, then of the resampling: the input
+    gradient is unsample(the resampled map's gradient). With a projection it
+    runs tile by tile, joined in order(weight), the memory order of the
+    whole-batch input gradient."""
     if "weight" not in m.params:
-        return g
+        return unsample(g) if input_grad else None
+    w = m.params["weight"].value
     if param_grads:
-        up = cache[1]
-        m.params["weight"].grad += np.einsum("bohw,bchw->oc", g, up, optimize=True)
+        # one contraction over the whole batch and the cached resampled map
+        m.params["weight"].grad += np.einsum("bohw,bchw->oc", g, cache[1], optimize=True)
         m.params["bias"].grad += g.sum(axis=(0, 2, 3))
     if not input_grad:
         return None
-    return np.einsum("oc,bohw->bchw", m.params["weight"].value, g, optimize=True)
+    return _joined(lambda s: unsample(np.einsum("oc,bohw->bchw", w, g[s], optimize=True)),
+                   _upsample_tiles(m, cache[0]), order(w))
 
 
 def _nearest(m, x):
@@ -402,27 +552,32 @@ def _nearest(m, x):
     return _project(m, x.repeat(r, axis=2).repeat(r, axis=3))
 
 def _nearest_backward(m, g, cache, input_grad, param_grads):
-    dup = _unproject(m, g, cache, input_grad, param_grads)
-    if dup is None:
-        return None
     r = m.spec.scale_factor
-    b, c, hh, ww = dup.shape
-    return dup.reshape(b, c, hh // r, r, ww // r, r).sum(axis=(3, 5))
+
+    def unsample(dup):
+        b, c, hh, ww = dup.shape
+        return dup.reshape(b, c, hh // r, r, ww // r, r).sum(axis=(3, 5))
+    # the sum keeps the layout of the projection's input gradient
+    return _unproject(m, g, cache, input_grad, param_grads, unsample,
+                      lambda w: _einsum_order("oc,bohw->bchw", w, g))
 
 
 def _bilinear(m, x):
     r = m.spec.scale_factor
     mh = _bilinear_matrix(x.shape[2] * r, x.shape[2], r)
     mw = _bilinear_matrix(x.shape[3] * r, x.shape[3], r)
-    up = np.einsum("hH,bcHW,wW->bchw", mh, x, mw, optimize=True)
+    chain = "hH,bcHW,wW->bchw"
+    up = _joined(lambda s: np.einsum(chain, mh, x[s], mw, optimize=True),
+                 _upsample_tiles(m, x.shape[:2] + (mh.shape[0], mw.shape[0])),
+                 _einsum_order(chain, mh, x, mw))
     return _project(m, up, extra=(mh, mw))
 
 def _bilinear_backward(m, g, cache, input_grad, param_grads):
-    dup = _unproject(m, g, cache, input_grad, param_grads)
-    if dup is None:
-        return None
     mh, mw = cache[-2], cache[-1]
-    return np.einsum("hH,bchw,wW->bcHW", mh, dup, mw, optimize=True)
+    chain = "hH,bchw,wW->bcHW"
+    return _unproject(m, g, cache, input_grad, param_grads,
+                      lambda dup: np.einsum(chain, mh, dup, mw, optimize=True),
+                      lambda w: _einsum_order(chain, mh, np.broadcast_to(0.0, cache[0]), mw))
 
 
 def _depth_to_space(m, x):

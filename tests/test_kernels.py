@@ -7,12 +7,14 @@ another way, but every output must be bitwise equal to the reference, or
 seeded runs stop being reproducible across versions.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hwnas.graph import OperatorSpec, OpKind, TensorShape, output_shape, walk
-from hwnas.nncore import ModuleInstance, loss_ce
+from hwnas.nncore import TILE_BYTES, ModuleInstance, loss_ce
 from hwnas.search import CompactNetModel
 from hwnas.spaces import BUILTIN_SPACES
 
@@ -86,6 +88,38 @@ def ref_maxpool_dx(x, g, k, stride, pad):
     return ref_scatter_windows(t.reshape(g.shape + (k, k)), padded, k, stride, pad)
 
 
+def ref_bilinear_matrix(out_size, in_size, scale):
+    """Half-pixel bilinear interpolation as a dense [out, in] matrix."""
+    m = np.zeros((out_size, in_size))
+    for o in range(out_size):
+        src = (o + 0.5) / scale - 0.5
+        i0 = int(np.floor(src))
+        m[o, min(max(i0, 0), in_size - 1)] += 1.0 - (src - i0)
+        m[o, min(max(i0 + 1, 0), in_size - 1)] += src - i0
+    return m
+
+
+def ref_upsample(kind, x, w, b, g, r):
+    """(out, dx, dw, db) of a nearest (repeat) or bilinear (dense-matrix
+    einsum) resampler by r followed by the 1x1 projection w."""
+    bsz, c, h, wd = x.shape
+    if kind is OpKind.UpsampleNearest:
+        up = x.repeat(r, axis=2).repeat(r, axis=3)
+    else:
+        mh = ref_bilinear_matrix(h * r, h, r)
+        mw = ref_bilinear_matrix(wd * r, wd, r)
+        up = np.einsum("hH,bcHW,wW->bchw", mh, x, mw, optimize=True)
+    out = np.einsum("oc,bchw->bohw", w, up, optimize=True) + b[None, :, None, None]
+    dw = np.einsum("bohw,bchw->oc", g, up, optimize=True)
+    db = g.sum(axis=(0, 2, 3))
+    dup = np.einsum("oc,bohw->bchw", w, g, optimize=True)
+    if kind is OpKind.UpsampleNearest:
+        dx = dup.reshape(bsz, c, h, r, wd, r).sum(axis=(3, 5))
+    else:
+        dx = np.einsum("hH,bchw,wW->bcHW", mh, dup, mw, optimize=True)
+    return out, dx, dw, db
+
+
 def ref_loss_ce(logits, labels):
     b = logits.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
@@ -144,6 +178,12 @@ CASES += [
     # stride 3, and a non-square output map
     (OperatorSpec(OpKind.Conv, 4, 6, kernel=3, stride=3), TensorShape(4, 10, 7), 2),
     (OperatorSpec(OpKind.DWConv, 6, 6, kernel=3, stride=3), TensorShape(6, 9, 9), 2),
+    # split products (see nncore's tile helpers): sample tiles whose products
+    # fall under the small-matrix size, sample tiles of 33x33 output maps
+    # (1089 columns a sample), and channel blocks of a k7 weight gradient
+    (OperatorSpec(OpKind.Conv, 16, 2, kernel=5), TensorShape(16, 32, 32), 8),
+    (OperatorSpec(OpKind.Conv, 16, 16, kernel=5), TensorShape(16, 33, 33), 8),
+    (OperatorSpec(OpKind.Conv, 16, 16, kernel=7), TensorShape(16, 32, 32), 2),
 ]
 # Non-square maps and batch 1: a reshape of a batch-1 or one-row window view
 # can be a view, not a copy, and BLAS then reads strided memory.
@@ -177,6 +217,11 @@ SIGNED_ZERO_CASES = [
     (OperatorSpec(OpKind.Conv, 4, 6, kernel=5, stride=2), TensorShape(4, 9, 9), 8),
     (OperatorSpec(OpKind.DWConv, 6, 6, kernel=5), TensorShape(6, 9, 9), 8),
     (OperatorSpec(OpKind.PointwiseConv, 5, 3), TensorShape(5, 9, 9), 8),
+    # large maps, whose buffers exceed nncore.TILE_BYTES: the toy-sr head and
+    # k5 candidate, and a strided conv
+    (OperatorSpec(OpKind.Conv, 4, 3, kernel=3), TensorShape(4, 64, 64), 8),
+    (OperatorSpec(OpKind.Conv, 16, 16, kernel=5), TensorShape(16, 32, 32), 8),
+    (OperatorSpec(OpKind.Conv, 16, 16, kernel=3, stride=2), TensorShape(16, 64, 64), 4),
 ] + EDGE_CASES
 
 
@@ -278,6 +323,83 @@ def test_conv_kernels_match_reference_on_cropped_grad(case):
 ], ids=_case_id)
 def test_conv_input_grad_matches_reference_at_one_output_pixel(case):
     _check_conv_case(case, param_grads=False)
+
+
+# toy-sr's upsample stage: 16 -> 4 channels, 32x32 -> 64x64
+@pytest.mark.parametrize("batch", [2, 8, 32])
+@pytest.mark.parametrize("kind", [OpKind.UpsampleNearest, OpKind.UpsampleBilinear],
+                         ids=lambda k: k.value)
+def test_upsample_kernels_match_reference_bitwise(kind, batch):
+    rng = np.random.default_rng(batch)
+    inst = ModuleInstance(OperatorSpec(kind, 16, 4, scale_factor=2), rng)
+    for p in inst.params.values():
+        p.value += 0.1 * rng.standard_normal(p.value.shape)
+    x = rng.standard_normal((batch, 16, 32, 32))
+    out = inst.forward(x)
+    g = _with_signed_zeros(rng.standard_normal(out.shape), rng)
+    dx = inst.backward(g)
+    w, b = inst.params["weight"], inst.params["bias"]
+    ref_out, ref_dx, ref_dw, ref_db = ref_upsample(kind, x, w.value, b.value, g, 2)
+    assert _same_bytes(w.grad, ref_dw)
+    assert _same_bytes(b.grad, ref_db)
+    # the parameter gradients take Parameter.grad's layout; out and dx keep
+    # the reference's
+    for got, ref in ((out, ref_out), (dx, ref_dx)):
+        assert _same_bytes(got, ref)
+        assert got.strides == ref.strides
+
+
+# ---------------------------------------------------------------------------
+# Working set: at batch 8, one forward and backward holds the whole-batch
+# arrays a kernel keeps by design, and at most TILE_BYTES of tile buffers on
+# top. A kernel that builds a whole-batch window matrix, window operand or
+# resampled-map product again exceeds the bound.
+# ---------------------------------------------------------------------------
+
+WORKING_SET_CASES = [
+    # toy-sr's k5 candidate and head
+    (OperatorSpec(OpKind.Conv, 16, 16, kernel=5), TensorShape(16, 32, 32)),
+    (OperatorSpec(OpKind.Conv, 4, 3, kernel=3), TensorShape(4, 64, 64)),
+    # toy-sr's bilinear candidate
+    (OperatorSpec(OpKind.UpsampleBilinear, 16, 4, scale_factor=2), TensorShape(16, 32, 32)),
+]
+
+
+def _kept_arrays_bytes(op, shape, batch):
+    """The bytes of the whole-batch arrays a kernel keeps by design: its
+    output and input gradient, and for a conv the channel-major copy of the
+    output gradient and the padded buffer the input gradient is a crop of,
+    for a resampler the resampled map it caches for the weight gradient."""
+    out = output_shape(op, shape)
+    out_bytes = 8 * batch * out.channels * out.height * out.width
+    if op.kind is OpKind.Conv:
+        p = op.padding
+        return 2 * out_bytes + 8 * batch * shape.channels * (shape.height + 2 * p) \
+            * (shape.width + 2 * p)
+    r = op.scale_factor
+    up_bytes = 8 * batch * shape.channels * shape.height * r * shape.width * r
+    return up_bytes + out_bytes + 8 * batch * shape.channels * shape.height * shape.width
+
+
+@pytest.mark.parametrize("op,shape", WORKING_SET_CASES,
+                         ids=["Conv-16x16-k5-32x32", "Conv-4x3-k3-64x64",
+                              "UpsampleBilinear-16x4-32x32"])
+def test_kernel_working_set_is_bounded(op, shape):
+    batch = 8
+    rng = np.random.default_rng(0)
+    inst = ModuleInstance(op, rng)
+    x = rng.standard_normal((batch, shape.channels, shape.height, shape.width))
+    out = output_shape(op, shape)
+    g = rng.standard_normal((batch, out.channels, out.height, out.width))
+    tracemalloc.start()
+    try:
+        inst.forward(x)
+        inst.backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 9.7, 9.0 and 12.6 MB for the three cases at a TILE_BYTES of 6 MiB
+    assert peak <= _kept_arrays_bytes(op, shape, batch) + TILE_BYTES
 
 
 POOL_CASES = [(3, 1, (4, 5, 8, 8)), (1, 2, (3, 4, 8, 8)), (3, 2, (2, 3, 9, 9)),
