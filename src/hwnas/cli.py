@@ -97,37 +97,40 @@ def _load_device(spec: str):
 
 def _add_dataset_args(p):
     _setting(p, "--data-samples", datasets.DatasetSpec, "num_samples", dest=None, default=400)
-    _setting(p, "--data-size", datasets.DatasetSpec, "image_size", dest=None, default=8)
-    p.add_argument("--data-classes", type=_number(int, f">= {datasets.MIN_CLASSES}"), default=4)
+    _setting(p, "--data-size", datasets.DatasetSpec, "image_size", dest=None, default=None)
     _setting(p, "--data-noise", datasets.DatasetSpec, "noise", dest=None)
     _setting(p, "--data-seed", datasets.DatasetSpec, "seed", dest=None, default=42)
 
 
-def _make_dataset(task: Task, args) -> datasets.Dataset:
-    if task is Task.Classification:
-        spec = datasets.DatasetSpec(task, args.data_samples, args.data_size,
-                                    num_classes=args.data_classes,
-                                    seed=args.data_seed, noise=args.data_noise)
+def _make_dataset(net, args) -> datasets.Dataset:
+    """Data of the net's input map, classes and SR scale; --data-size may only restate the map."""
+    c, h, w = net.input_shape.as_list()
+    size = args.data_size or h
+    if (c, h, w) != (3, size, size):
+        raise HwnasError(f"{args.net}: its input is {c}x{h}x{w}, not the data's 3x{size}x{size}")
+    try:
+        spec = datasets.DatasetSpec(net.task, args.data_samples, size, num_classes=net.num_classes,
+                                    sr_scale=net.sr_scale, seed=args.data_seed,
+                                    noise=args.data_noise)
+    except ValueError as e:
+        raise HwnasError(f"{args.net}: {e}")
+    if net.task is Task.Classification:
         return datasets.generate_classification_dataset(spec)
-    spec = datasets.DatasetSpec(task, args.data_samples, args.data_size,
-                                sr_scale=2, seed=args.data_seed, noise=args.data_noise)
     return datasets.generate_sr_dataset(spec)
 
 
-def _load_net(spec: str, kind=None):
-    """A built-in space name or a .net.json file.
+_NET_KINDS = {SuperNet: "supernet", CompactNet: "compact network"}
 
-    With `kind` (SuperNet or CompactNet) the net must be of that class, and a
-    supernet must pass `graph.validate`: otherwise the first finding is the error.
-    """
+
+def _load_net(spec: str, kind=None):
+    """A built-in space name or a .net.json file, of class `kind` when one is given,
+    that passes `graph.validate`; otherwise the error names the first finding."""
     net = spaces.BUILTIN_SPACES[spec]() if spec in spaces.BUILTIN_SPACES else load_net(spec)
     if kind is not None and not isinstance(net, kind):
-        what = "supernet" if kind is SuperNet else "compact network"
-        raise HwnasError(f"{spec} is not a {what} file")
-    if kind is SuperNet:
-        report = validate(net)
-        if not report.ok:
-            raise HwnasError(f"invalid supernet {spec}: {report.findings[0]}")
+        raise HwnasError(f"{spec} is not a {_NET_KINDS[kind]} file")
+    report = validate(net)
+    if not report.ok:
+        raise HwnasError(f"invalid {_NET_KINDS[type(net)]} {spec}: {report.findings[0]}")
     return net
 
 
@@ -200,12 +203,9 @@ def cmd_lut_build(args):
     try:
         lut = profiler.build_lut(device, net, n=args.stack_n, trials=args.trials)
     except DeviceError as e:
-        partial = getattr(e, "partial", None)
-        if partial is None:
-            raise
         path = _partial_lut_path(args.out)
-        save_lut(partial, path)
-        raise DeviceError(f"{e}; the {len(partial.entries)} entries measured so far "
+        save_lut(e.partial, path)
+        raise DeviceError(f"{e}; the {len(e.partial.entries)} entries measured so far "
                           f"are saved in {path}") from e
     save_lut(lut, args.out)
     return _finish(args, Path(args.out).parent, "lut build", getattr(device, "seed", None),
@@ -261,7 +261,7 @@ def cmd_search_run(args):
     if args.seed is not None:
         settings["seed"] = args.seed
     cfg = from_fields(search.SearchConfig, settings, args.config or "search run")
-    ds = _make_dataset(net.task, args)
+    ds = _make_dataset(net, args)
     state, history = search.train_search(net, ds.train, ds.val, cfg, lut)
 
     out_dir = Path(args.out_dir)
@@ -295,7 +295,7 @@ def cmd_derive(args):
 
 def cmd_train_compact(args):
     net = _load_net(args.net, CompactNet)
-    ds = _make_dataset(net.task, args)
+    ds = _make_dataset(net, args)
     model = search.train_compact(net, ds.train, steps=args.steps,
                                  batch_size=args.batch_size, lr=args.lr,
                                  weight_decay=args.weight_decay, seed=args.seed)
@@ -308,7 +308,7 @@ def cmd_eval(args):
     net = _load_net(args.net, CompactNet)
     model = search.CompactNetModel(net, seed=args.seed)
     load_checkpoint(model.named_parameters(), args.checkpoint)
-    ds = _make_dataset(net.task, args)
+    ds = _make_dataset(net, args)
     metrics = {}
     if net.task is Task.Classification:
         metrics["test_accuracy"] = search.accuracy(model, ds.test)

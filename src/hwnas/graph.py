@@ -382,23 +382,34 @@ class ValidationReport:
         return not self.findings
 
 
-def validate(net: SuperNet) -> ValidationReport:
-    """Structural check of a supernet; findings are data, nothing raises."""
+def _chain(ops, shape: TensorShape, part: str, report: Callable):
+    """`shape` run through `ops`, or None after `report` is given a finding at
+    `part[i]` for the first op that does not fit."""
+    for i, op in enumerate(ops):
+        try:
+            shape = output_shape(op, shape)
+        except InvalidOp as e:
+            report(Finding(f"{part}[{i}]", str(e)))
+            return None
+    return shape
+
+
+def validate(net: Net) -> ValidationReport:
+    """Structural check of a supernet or a compact net; findings are data, nothing raises."""
     findings = []
     if net.task is Task.Classification and net.num_classes is None:
         findings.append(Finding("num_classes", "classification net requires num_classes"))
     if net.task is Task.SuperResolution and net.sr_scale is None:
         findings.append(Finding("sr_scale", "super-resolution net requires sr_scale"))
+    if isinstance(net, CompactNet):
+        _chain(net.layers, net.input_shape, "layers", findings.append)
+        return ValidationReport(findings)
     if not net.stages:
         findings.append(Finding("stages", "supernet must have at least one stage"))
 
-    cur = net.input_shape
-    for i, op in enumerate(net.stem):
-        try:
-            cur = output_shape(op, cur)
-        except InvalidOp as e:
-            findings.append(Finding(f"stem[{i}]", str(e)))
-            return ValidationReport(findings)
+    cur = _chain(net.stem, net.input_shape, "stem", findings.append)
+    if cur is None:
+        return ValidationReport(findings)
     for i, stage in enumerate(net.stages):
         if not stage.candidates:
             findings.append(Finding(f"stages[{i}]", "stage has no candidates"))
@@ -422,12 +433,7 @@ def validate(net: SuperNet) -> ValidationReport:
                 findings.append(Finding(path, f"duplicate candidate key {key}"))
             keys.add(key)
         cur = stage.output_shape
-    for i, op in enumerate(net.head):
-        try:
-            cur = output_shape(op, cur)
-        except InvalidOp as e:
-            findings.append(Finding(f"head[{i}]", str(e)))
-            return ValidationReport(findings)
+    _chain(net.head, cur, "head", findings.append)
     return ValidationReport(findings)
 
 
@@ -554,15 +560,17 @@ def _common_fields(doc, allowed: set) -> dict:
             "sr_scale": field(doc, "sr_scale", (int, type(None)), "$", default=None)}
 
 
+def _raise(finding: Finding):
+    raise ParseError(finding.message, finding.path)
+
+
 def _build_supernet(doc) -> SuperNet:
     common = _common_fields(
         doc, {"task", "input_shape", "stem", "stages", "head", "num_classes", "sr_scale"})
     stem, head = _ops(doc, "stem", "stem"), _ops(doc, "head", "head")
 
     # Stage input/output shapes are reconstructed by chaining through the file.
-    cur = common["input_shape"]
-    for op in stem:
-        cur = output_shape(op, cur)
+    cur = _chain(stem, common["input_shape"], "stem", _raise)
     stages = []
     for i, sobj in enumerate(field(doc, "stages", list, "$")):
         if not isinstance(sobj, dict) or set(sobj) != {"candidates"}:
@@ -570,10 +578,7 @@ def _build_supernet(doc) -> SuperNet:
         cands = _ops(sobj, "candidates", f"stages[{i}].candidates")
         if not cands:
             raise ParseError("stage has no candidates", f"stages[{i}]")
-        try:
-            out = output_shape(cands[0], cur)
-        except InvalidOp as e:
-            raise ParseError(str(e), f"stages[{i}].candidates[0]")
+        out = _chain(cands[:1], cur, f"stages[{i}].candidates", _raise)
         stages.append(MixedStage(tuple(cands), cur, out))
         cur = out
     return SuperNet(stem=stem, stages=stages, head=head, **common)

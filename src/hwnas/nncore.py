@@ -714,6 +714,8 @@ def loss_ce(logits: np.ndarray, labels: np.ndarray):
     labels = np.asarray(labels)
     if logits.ndim != 2 or logits.shape[0] != labels.shape[0]:
         raise ShapeMismatch(f"logits {logits.shape} vs labels {labels.shape}")
+    if labels.size and not 0 <= labels.min() <= labels.max() < logits.shape[1]:
+        raise ShapeMismatch(f"labels must lie in [0, {logits.shape[1]}), the logit indices")
     b = logits.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)

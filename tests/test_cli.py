@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hwnas
-from hwnas import costmodel
+from hwnas import cli, costmodel
 from hwnas.cli import build_parser, content_hash, main
 from hwnas.errors import DeviceError
 from hwnas.graph import (CompactNet, OperatorSpec, OpKind, Task, TensorShape,
@@ -18,7 +18,7 @@ from hwnas.graph import (CompactNet, OperatorSpec, OpKind, Task, TensorShape,
 from hwnas.jsonio import array_to_json
 from hwnas.latency import LatencyTable, load_lut, save_lut
 from hwnas.profiler import ExternalCommandRunner
-from hwnas.spaces import toy_classification_supernet
+from hwnas.spaces import toy_classification_supernet, toy_sr_supernet
 
 
 def run_cli(*argv):
@@ -265,7 +265,56 @@ NET_ERRORS = {
                                           "--model", "{tmp}/m.json", "--out", "{tmp}/p.lut.json"],
                                          "{tmp}/c.net.json is not a supernet file"),
 }
+
+# A supernet whose stem op expects 4 channels of a 3-channel input.
+BAD_STEM = {"bad.net.json": _json(dict(BAD_SUPERNET, stem=[
+    {"kind": "Conv", "kernel": 3, "in_channels": 4, "out_channels": 16}]))}
+# A compact net whose layer 1 expects 8 channels where layer 0 makes 16.
+BAD_LAYERS = {"c.net.json": _json({
+    "task": "Classification", "input_shape": [3, 8, 8], "num_classes": 4,
+    "layers": [{"kind": "Conv", "kernel": 3, "in_channels": 3, "out_channels": 16},
+               {"kind": "Conv", "kernel": 3, "in_channels": 8, "out_channels": 16},
+               {"kind": "Linear", "in_channels": 1024, "out_channels": 4}]})}
+INVALID_COMPACT = "invalid compact network {tmp}/c.net.json: layers[1]: Conv: expects 8 channels"
+TRAIN = ["train-compact", "--net", "{tmp}/c.net.json", "--out", "{tmp}/w.json"]
+# A 3x2x2 classifier with 2 logits for its 4 classes.
+CLS_NET = {"task": "Classification", "input_shape": [3, 2, 2], "num_classes": 4,
+           "layers": [{"kind": "Linear", "in_channels": 12, "out_channels": 2}]}
+SR_NET = {"task": "SuperResolution", "input_shape": [3, 4, 4], "sr_scale": 2,
+          "layers": [{"kind": "UpsampleNearest", "in_channels": 3, "out_channels": 3,
+                      "scale_factor": 2}]}
+
+# Every --net is validated, and the data is shaped by the net: each error names
+# the net and the location, before any data is generated.
+NET_ERRORS.update({
+    "lut-build-bad-stem": (BAD_STEM, ["lut", "build", "--net", "{tmp}/bad.net.json",
+                                      "--out", "{tmp}/l.lut.json"], "stem[0]: Conv: expects 4"),
+    "lint-bad-stem": (BAD_STEM, ["lint", "--net", "{tmp}/bad.net.json"],
+                      "stem[0]: Conv: expects 4"),
+    "train-compact-invalid-compact-net": (BAD_LAYERS, TRAIN, INVALID_COMPACT),
+    "eval-invalid-compact-net": (BAD_LAYERS, EVAL, INVALID_COMPACT),
+    "lint-invalid-compact-net": (BAD_LAYERS, ["lint", "--net", "{tmp}/c.net.json"],
+                                 INVALID_COMPACT),
+    "lint-compact-net-without-num-classes": (
+        {"c.net.json": _json({k: v for k, v in TINY_NET.items() if k != "num_classes"})},
+        ["lint", "--net", "{tmp}/c.net.json"],
+        "invalid compact network {tmp}/c.net.json: num_classes: classification net requires"),
+    "search-data-size-not-the-net-input": (
+        {"t.lut.json": _json(EMPTY_LUT)},
+        ["search", "run", "--net", "toy-sr", "--lut", "{tmp}/t.lut.json", "--data-size", "8",
+         "--out-dir", "{tmp}/run"], "toy-sr: its input is 3x32x32, not the data's 3x8x8"),
+    "train-compact-input-not-3xNxN": ({"c.net.json": _json(TINY_NET)}, TRAIN,
+                                      "c.net.json: its input is 2x2x2"),
+    "train-compact-one-class": ({"c.net.json": _json(dict(CLS_NET, num_classes=1))}, TRAIN,
+                                "c.net.json: num_classes must be finite and >= 2"),
+    "train-compact-sr-scale-3": ({"c.net.json": _json(dict(SR_NET, sr_scale=3))}, TRAIN,
+                                 "c.net.json: sr_scale must be 2"),
+})
 MALFORMED_FILES.update({case: (files, argv) for case, (files, argv, _) in NET_ERRORS.items()})
+# Labels 2 and 3 have no logit.
+MALFORMED_FILES["train-compact-fewer-logits-than-classes"] = (
+    {"c.net.json": _json(CLS_NET)}, [*TRAIN, "--steps", "1", "--data-samples", "8",
+                                     "--data-size", "2"])
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
@@ -316,7 +365,7 @@ OUT_OF_RANGE_FLAGS = [
     ("search run", "--lambda1", "-1"), ("search run", "--lambda2", "-1"),
     ("search run", "--lambda2", "nan"), ("search run", "--data-samples", "6"),
     ("train-compact", "--batch-size", "0"), ("train-compact", "--data-samples", "0"),
-    ("train-compact", "--data-size", "0"), ("train-compact", "--data-classes", "1"),
+    ("train-compact", "--data-size", "0"),
     ("calibrate", "--samples", "0"), ("calibrate", "--trials", "0"),
     ("train-compact", "--steps", "0"), ("train-compact", "--steps", "-1"),
     ("train-compact", "--lr", "0"), ("train-compact", "--lr", "-1"),
@@ -441,6 +490,23 @@ def test_device_sim_ignores_environment(tmp_path, monkeypatch):
     assert run_cli("lut", "build", "--net", "toy-classification", "--device", "sim",
                    "--out", str(tmp_path / "b.lut.json")) == 0
     assert content_hash(tmp_path / "a.lut.json") == content_hash(tmp_path / "b.lut.json")
+
+
+def test_data_classes_is_not_a_flag(capsys):
+    """The class count is the net's own `num_classes`."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train-compact", "--net", "toy-classification", "--out", "w.json",
+                "--data-classes", "4")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --data-classes" in capsys.readouterr().err
+
+
+def test_dataset_is_sized_from_the_net():
+    """Without --data-size, toy-sr trains on its own 3x32x32 inputs and 3x64x64 targets."""
+    args = build_parser().parse_args(["search", "run", "--net", "toy-sr", "--lut", "t.lut.json",
+                                      "--out-dir", "run", "--data-samples", "8"])
+    x, y = cli._make_dataset(toy_sr_supernet(), args).train
+    assert (x.shape[1:], y.shape[1:]) == ((3, 32, 32), (3, 64, 64))
 
 
 def test_argument_errors_exit_2():

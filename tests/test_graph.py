@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hwnas.errors import ParseError
 from hwnas.graph import (CompactNet, MixedStage, OperatorSpec, OpKind, SuperNet,
                          Task, TensorShape, canonical_key, deserialize,
                          output_shape, serialize, validate, walk)
+from hwnas.spaces import BUILTIN_SPACES, toy_classification_supernet
 
 
 # ---------------------------------------------------------------------------
@@ -202,3 +205,75 @@ def test_unknown_field_is_parse_error(toy_supernet):
     doc["surprise"] = 1
     with pytest.raises(ParseError):
         deserialize(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# validate: one case per finding
+# ---------------------------------------------------------------------------
+
+def _supernet(**changes):
+    return replace(toy_classification_supernet(), **changes)
+
+
+def _compact(**changes):
+    return replace(toy_classification_supernet().path((0, 1, 2)), **changes)
+
+
+_C16 = TensorShape(16, 8, 8)
+_CONV = OperatorSpec(OpKind.Conv, 16, 16, kernel=3)
+
+# Each net breaks one rule, so validate reports exactly one finding.
+FINDINGS = {
+    "missing-num-classes": (lambda: _supernet(num_classes=None),
+                            "num_classes", "requires num_classes"),
+    "missing-sr-scale": (lambda: _supernet(task=Task.SuperResolution),
+                         "sr_scale", "requires sr_scale"),
+    "no-stages": (lambda: _supernet(stages=()), "stages", "at least one stage"),
+    "stem-op-does-not-fit": (lambda: _supernet(stem=(OperatorSpec(OpKind.Conv, 4, 16, kernel=3),)),
+                             "stem[0]", "expects 4 channels"),
+    "stage-input-not-produced": (
+        lambda: _supernet(stages=(MixedStage((_CONV,), TensorShape(16, 4, 4),
+                                             TensorShape(16, 4, 4)),),
+                          head=(OperatorSpec(OpKind.Linear, 16 * 4 * 4, 4),)),
+        "stages[0]", "chain produces"),
+    "duplicate-candidate-key": (
+        lambda: _supernet(stages=(MixedStage((_CONV, _CONV), _C16, _C16),)),
+        "stages[0].candidates[1]", "duplicate candidate key"),
+    "stage-without-candidates": (lambda: _supernet(stages=(MixedStage((), _C16, _C16),)),
+                                 "stages[0]", "no candidates"),
+    "candidate-does-not-fit": (
+        lambda: _supernet(stages=(MixedStage(
+            (_CONV, OperatorSpec(OpKind.Conv, 8, 16, kernel=3)), _C16, _C16),)),
+        "stages[0].candidates[1]", "expects 8 channels"),
+    "candidate-wrong-output": (
+        lambda: _supernet(stages=(MixedStage(
+            (_CONV, OperatorSpec(OpKind.Conv, 16, 8, kernel=3)), _C16, _C16),)),
+        "stages[0].candidates[1]", "stage declares"),
+    "head-op-does-not-fit": (lambda: _supernet(head=(OperatorSpec(OpKind.Linear, 99, 4),)),
+                             "head[0]", "flattened input 1024"),
+    "compact-missing-num-classes": (lambda: _compact(num_classes=None),
+                                    "num_classes", "requires num_classes"),
+    "compact-missing-sr-scale": (lambda: _compact(task=Task.SuperResolution),
+                                 "sr_scale", "requires sr_scale"),
+    "compact-layer-does-not-chain": (
+        lambda: _compact(layers=(OperatorSpec(OpKind.Conv, 3, 8, kernel=3), _CONV)),
+        "layers[1]", "expects 16 channels, input has 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINDINGS))
+def test_validate_reports_one_finding(case):
+    make, path, fragment = FINDINGS[case]
+    (finding,) = validate(make()).findings
+    assert finding.path == path
+    assert fragment in finding.message
+
+
+@pytest.mark.parametrize("space", ["toy-classification", "toy-sr", "calibration"])
+def test_every_path_of_a_builtin_space_validates(space):
+    """Every compact net `derive` can write passes the check the CLI applies."""
+    net = BUILTIN_SPACES[space]()
+    paths = list(product(*(range(len(stage.candidates)) for stage in net.stages)))
+    assert len(paths) == {"toy-classification": 27, "toy-sr": 18, "calibration": 81}[space]
+    for chosen in paths:
+        assert validate(net.path(chosen)).ok, chosen

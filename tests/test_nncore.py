@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hwnas.errors import StaleState
+from hwnas.errors import ShapeMismatch, StaleState
 from hwnas.graph import OperatorSpec, OpKind, TensorShape
 from hwnas.nncore import (ModuleInstance, grad_check, load_checkpoint, loss_ce,
                           loss_mse, parameter_count, save_checkpoint, sgd_step)
@@ -126,6 +126,14 @@ def test_ce_confident_margin_20():
     logits = np.array([[20.0, 0.0]])
     loss, _ = loss_ce(logits, np.array([0]))
     assert 0.0 <= loss < 1e-8
+
+
+@pytest.mark.parametrize("labels", [[0, 4], [0, -1]])
+def test_ce_label_outside_logits_is_shape_mismatch(labels):
+    """A label >= K would index past the logits, and a negative one would count
+    from the last logit."""
+    with pytest.raises(ShapeMismatch, match=r"labels .* \[0, 4\)"):
+        loss_ce(np.zeros((2, 4)), np.array(labels))
 
 
 def test_mse_exact_match_zero(rng):
