@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -19,7 +20,7 @@ from pathlib import Path
 from . import __version__, costmodel, datasets, lint, profiler, search, spaces
 from .errors import DeviceError, HwnasError, ParseError
 from .graph import CompactNet, SuperNet, Task, load_net, save_net, validate
-from .jsonio import check_number, field, from_fields, numbers, read_object, write_object
+from .jsonio import check_number, field, from_fields, numbers, read_object, read_text, write_object
 from .latency import DEFAULT_CLOCK_GHZ, compact_latency, load_lut, save_lut
 from .nncore import load_checkpoint, save_checkpoint
 
@@ -364,6 +365,20 @@ def cmd_calibrate(args):
                    {"calibration_csv": csv_path, "calibration_json": json_path}, summary)
 
 
+def _calibration_points(path) -> list:
+    """The rows under a calibration CSV's header: one or more, each two finite numbers."""
+    pts = []
+    for line, row in enumerate(read_text(path).rstrip().splitlines()[1:] or [""], start=2):
+        try:
+            pt = tuple(map(float, row.split(",")))
+        except ValueError:
+            pt = ()
+        if len(pt) != 2 or not all(map(math.isfinite, pt)):
+            raise ParseError(f"must be two finite numbers, got {row!r:.80}", f"{path}:{line}")
+        pts.append(pt)
+    return pts
+
+
 def cmd_report(args):
     manifest = read_object(args.manifest)
     out_dir = Path(args.out_dir)
@@ -377,10 +392,9 @@ def cmd_report(args):
         if content_hash(path) != field(entry, "sha256", str, args.manifest):
             raise HwnasError(f"artifact {name} changed since manifest was written")
         if name == "calibration_csv":
-            rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
-            pts = [tuple(float(v) for v in r.split(",")) for r in rows]
             svg = out_dir / "calibration_scatter.svg"
-            svg_scatter(pts, "predicted latency (ms)", "measured latency (ms)", svg)
+            svg_scatter(_calibration_points(path), "predicted latency (ms)",
+                        "measured latency (ms)", svg)
             produced["calibration_scatter"] = svg
     summary_path = out_dir / "report.json"
     summary["plots"] = {k: str(v) for k, v in produced.items()}

@@ -60,7 +60,6 @@ class ProfileRecord:
 
 def encode_features(op: OperatorSpec, input_shape: TensorShape) -> np.ndarray:
     """Deterministic fixed-length encoding of one workload."""
-    op.validate_fields()
     vec = np.zeros(FEATURE_DIM)
     vec[_KIND_ORDER.index(op.kind)] = 1.0
     scalars = [op.in_channels, op.out_channels, input_shape.height, input_shape.width,
@@ -380,10 +379,9 @@ def sample_workload(rng: np.random.Generator) -> tuple:
         expand = int(rng.choice([1, 2, 4, 6])) if "expand_ratio" in rule.fields else 1
         values = {"kernel": 3 if kernel == 1 else kernel, "stride": stride,
                   "expand_ratio": expand, "activation_slope": 0.1, "scale_factor": 2}
-        op = OperatorSpec(kind, in_c, out_c,
-                          **{k: v for k, v in values.items() if k in rule.fields})
         try:
-            op.validate_fields()
+            op = OperatorSpec(kind, in_c, out_c,
+                              **{k: v for k, v in values.items() if k in rule.fields})
             output_shape(op, shape)
         except InvalidOp:
             continue

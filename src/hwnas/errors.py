@@ -5,7 +5,7 @@ class HwnasError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidOp(HwnasError):
+class InvalidOp(HwnasError, ValueError):
     """Operator spec violates a structural invariant."""
 
 

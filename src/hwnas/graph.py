@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import InvalidOp, ParseError
-from .jsonio import field, loads_object, read_text
+from .jsonio import field, from_fields, loads_object, read_text
 
 
 class OpKind(str, Enum):
@@ -72,11 +72,10 @@ class OperatorSpec:
     scale_factor: int = 1
 
     def __post_init__(self):
+        """Raise InvalidOp on any structural invariant violation."""
         object.__setattr__(self, "kind", OpKind(self.kind))
         object.__setattr__(self, "expand_ratio", Fraction(self.expand_ratio))
-
-    def validate_fields(self) -> None:
-        """Raise InvalidOp on any structural invariant violation."""
+        object.__setattr__(self, "activation_slope", float(self.activation_slope))
         k, rule = self.kind, KINDS[self.kind]
         if self.in_channels < 1 or self.out_channels < 1:
             raise InvalidOp(f"{k.value}: channel counts must be positive")
@@ -112,8 +111,7 @@ class OperatorSpec:
 # ---------------------------------------------------------------------------
 
 # Optional OperatorSpec fields, with the value a kind that does not accept one must keep.
-OPTIONAL_FIELDS = {"kernel": 1, "stride": 1, "expand_ratio": 1, "activation_slope": 0.0,
-                   "scale_factor": 1}
+OPTIONAL_FIELDS = {f.name: f.default for f in fields(OperatorSpec) if f.default is not MISSING}
 
 
 def _spatial_out(size: int, op: OperatorSpec) -> int:
@@ -259,7 +257,6 @@ KINDS = {
 
 def output_shape(op: OperatorSpec, shape: TensorShape) -> TensorShape:
     """Shape produced by `op` applied to `shape`; raises on incompatibility."""
-    op.validate_fields()
     return KINDS[op.kind].shape(op, shape)
 
 
@@ -441,10 +438,6 @@ def validate(net: Net) -> ValidationReport:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-_OP_FIELDS = ("kind", "kernel", "stride", "in_channels", "out_channels",
-              "expand_ratio", "activation_slope", "scale_factor")
-
-
 def _op_to_json(op: OperatorSpec) -> dict:
     return {
         "kind": op.kind.value,
@@ -471,28 +464,9 @@ def _parse_fraction(v, path: str) -> Fraction:
 def _op_from_json(obj, path: str) -> OperatorSpec:
     if not isinstance(obj, dict):
         raise ParseError("operator must be an object", path)
-    unknown = set(obj) - set(_OP_FIELDS)
-    if unknown:
-        raise ParseError(f"unknown fields {sorted(unknown)}", path)
-    try:
-        kind = OpKind(field(obj, "kind", str, path))
-    except ValueError:
-        raise ParseError(f"unknown operator kind {obj['kind']!r}", path)
-    op = OperatorSpec(
-        kind=kind,
-        in_channels=field(obj, "in_channels", int, path),
-        out_channels=field(obj, "out_channels", int, path),
-        kernel=field(obj, "kernel", int, path, default=1),
-        stride=field(obj, "stride", int, path, default=1),
-        expand_ratio=_parse_fraction(obj.get("expand_ratio", 1), path),
-        activation_slope=float(field(obj, "activation_slope", float, path, default=0.0)),
-        scale_factor=field(obj, "scale_factor", int, path, default=1),
-    )
-    try:
-        op.validate_fields()
-    except InvalidOp as e:
-        raise ParseError(str(e), path)
-    return op
+    if "expand_ratio" in obj:
+        obj = {**obj, "expand_ratio": _parse_fraction(obj["expand_ratio"], path)}
+    return from_fields(OperatorSpec, obj, path)
 
 
 def _shape_from_json(v, path: str) -> TensorShape:

@@ -15,6 +15,7 @@ the CLI builds its numeric flag types from it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -30,6 +31,7 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
                type(None): "null"}
 
 _REQUIRED = object()
+_type_hints = functools.cache(typing.get_type_hints)  # a net file decodes each op through it
 
 
 def read_text(path) -> str:
@@ -120,7 +122,7 @@ def from_fields(cls, doc: dict, where):
     type; an unknown, missing or out-of-range field (a `TypeError` or
     `ValueError` from the constructor) is a `ParseError`.
     """
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     for name in doc:
         if hints.get(name) in (int, float, str, bool):
             field(doc, name, hints[name], where)

@@ -642,7 +642,6 @@ class ModuleInstance:
     """
 
     def __init__(self, spec: OperatorSpec, rng: np.random.Generator):
-        spec.validate_fields()
         self.spec = spec
         self.params: dict = {}
         self._cache = None

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DeviceError, NotStackable
 from .graph import (KINDS, CompactNet, OperatorSpec, OpKind, SuperNet, Task, TensorShape,
                     canonical_key, output_shape, save_net, validate, walk)
-from .jsonio import bounded, check_fields
+from .jsonio import bounded, check_fields, check_number
 from .latency import LatencyTable, compact_latency
 
 log = logging.getLogger(__name__)
@@ -96,8 +96,8 @@ class ExternalCommandRunner:
     """Runs a shell command per measurement; hook for real-device pipelines.
 
     The template receives `{graph}` (path to the serialized subgraph) and
-    optionally `{trials}`; the command must print one decimal latency in ms
-    per line, `trials` lines total.
+    optionally `{trials}`; the command must print one finite, non-negative
+    latency in ms per line, `trials` lines total.
     """
 
     command_template: str
@@ -126,8 +126,8 @@ class ExternalCommandRunner:
             raise DeviceError(f"unparseable device output line: {lines!r}")
         if len(samples) != trials:
             raise DeviceError(f"expected {trials} latency lines, got {len(samples)}")
-        if any(s < 0 for s in samples):
-            raise DeviceError("negative latency reported by device")
+        for s in samples:
+            check_number(s, ">= 0", "device latency", DeviceError)
         return samples
 
 

@@ -30,16 +30,13 @@ def path_probs(alpha) -> np.ndarray:
     return z / z.sum()
 
 
-def sample_gate(p, rng: np.random.Generator) -> np.ndarray:
-    """One-hot sample from the categorical distribution p."""
+def sample_gate(p, rng: np.random.Generator) -> int:
+    """An index drawn from the categorical distribution p."""
     p = np.asarray(p, dtype=np.float64)
     if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
         raise NotNormalized(f"p sums to {p.sum()!r}")
     idx = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
-    idx = min(idx, len(p) - 1)
-    gate = np.zeros(len(p))
-    gate[idx] = 1.0
-    return gate
+    return min(idx, len(p) - 1)
 
 
 def arch_grad(dl_dg, p) -> np.ndarray:
@@ -245,7 +242,7 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
         # -- weight updates on the training split: sampled single path only --
         train_losses = []
         for _ in range(cfg.weight_steps_per_round):
-            gates = [int(np.argmax(sample_gate(path_probs(a), rng))) for a in alphas]
+            gates = [sample_gate(path_probs(a), rng) for a in alphas]
             train_losses.append(_sgd_batch(model, train_data, cfg.batch_size, rng,
                                            "weight step", cfg.lr_weights, cfg.lambda1, gates))
 
@@ -254,7 +251,7 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
         val_losses = []
         for _ in range(cfg.arch_steps_per_round):
             probs = [path_probs(a) for a in alphas]
-            gates = [int(np.argmax(sample_gate(p, rng))) for p in probs]
+            gates = [sample_gate(p, rng) for p in probs]
             ce, g = _batch_loss(model, val_data, cfg.batch_size, rng, "arch step", gates,
                                 keep_stage_outputs=True)
             e_lat = expected_network_latency(list(zip(probs, f_vectors)), fixed_ms)

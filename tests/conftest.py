@@ -11,24 +11,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from hwnas.graph import MixedStage, OperatorSpec, OpKind, SuperNet, Task, TensorShape  # noqa: E402
+from hwnas.spaces import toy_classification_supernet  # noqa: E402
 
 
 @pytest.fixture
 def toy_supernet():
-    shape = TensorShape(16, 8, 8)
-    candidates = (
-        OperatorSpec(OpKind.Conv, 16, 16, kernel=3),
-        OperatorSpec(OpKind.DWConv, 16, 16, kernel=3),
-        OperatorSpec(OpKind.Identity, 16, 16),
-    )
-    return SuperNet(
-        task=Task.Classification,
-        input_shape=TensorShape(3, 8, 8),
-        stem=(OperatorSpec(OpKind.Conv, 3, 16, kernel=3),),
-        stages=tuple(MixedStage(candidates, shape, shape) for _ in range(3)),
-        head=(OperatorSpec(OpKind.Linear, 16 * 8 * 8, 4),),
-        num_classes=4)
+    return toy_classification_supernet()
 
 
 @pytest.fixture

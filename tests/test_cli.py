@@ -602,6 +602,50 @@ def test_external_command_failure_is_device_error(tmp_path):
         dev.run(net, 1)
 
 
+NON_FINITE = ["nan", "inf", "1e400"]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_external_command_non_finite_latency_is_device_error(tmp_path, value):
+    dev = _echo_device(tmp_path, f"print({value!r})\n")
+    net = CompactNet(task=Task.Classification, input_shape=TensorShape(3, 4, 4),
+                     layers=(OperatorSpec(OpKind.Identity, 3, 3),),
+                     num_classes=2)
+    with pytest.raises(DeviceError, match="device latency must be finite and >= 0"):
+        dev.run(net, 1)
+
+
+def test_lut_build_on_non_finite_device_keeps_partial_table(tmp_path, capsys):
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps({"type": "command", "command_template": "echo nan"}))
+    out = tmp_path / "toy.lut.json"
+    assert run_cli("lut", "build", "--net", "toy-classification", "--device", str(dev),
+                   "--out", str(out), "--trials", "1") == 1
+    partial = tmp_path / "toy.partial.lut.json"
+    err = capsys.readouterr().err
+    assert err.startswith("error: device latency must be finite and >= 0, got nan")
+    assert str(partial) in err
+    assert not out.exists()
+    assert load_lut(partial).incomplete
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_calibrate_non_finite_device_exits_1_and_writes_no_nan(tmp_path, value):
+    lut = tmp_path / "toy.lut.json"
+    assert run_cli("lut", "build", "--net", "toy-classification", "--out", str(lut)) == 0
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps({"type": "command", "command_template": f"echo {value}"}))
+    prefix = tmp_path / "cal" / "c"
+    proc = run_module("calibrate", "--net", "toy-classification", "--lut", str(lut),
+                      "--device", str(dev), "--samples", "3", "--trials", "1",
+                      "--out-prefix", str(prefix))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: device latency must be finite")
+    assert "Traceback" not in proc.stderr
+    assert not prefix.with_suffix(".json").exists()
+    assert not prefix.with_suffix(".csv").exists()
+
+
 def test_lut_build_keeps_partial_table_of_failed_profile(tmp_path, capsys):
     """A device that fails on its 4th call keeps what its first 3 calls measured:
     the stem Conv (its anchor, then the Conv) and the stage-0 Conv."""
@@ -680,6 +724,29 @@ def test_calibrate_and_report_emit_svg(tmp_path):
     svg = (rep / "calibration_scatter.svg").read_text()
     assert svg.startswith("<svg")
     assert "circle" in svg
+
+
+# Calibration CSVs whose manifest holds their correct hash, but whose rows are
+# not all two finite numbers: each names the file and the line.
+BAD_CALIBRATION_CSV = {
+    "header-only": ("predicted_ms,measured_ms\n", 2),
+    "row-not-a-number": ("predicted_ms,measured_ms\n1.0,2.0\nabc,1\n", 3),
+    "row-one-column": ("predicted_ms,measured_ms\n1.0\n", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CALIBRATION_CSV))
+def test_report_malformed_calibration_csv_exit_1_without_traceback(case, tmp_path):
+    text, line = BAD_CALIBRATION_CSV[case]
+    csv = tmp_path / "c.csv"
+    csv.write_text(text)
+    manifest = tmp_path / "run_manifest.json"
+    manifest.write_text(json.dumps({"command": "calibrate", "artifacts": {
+        "calibration_csv": {"path": str(csv), "sha256": content_hash(csv)}}}))
+    proc = run_module("report", "--manifest", str(manifest), "--out-dir", str(tmp_path / "rep"))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {csv}:{line}: ")
+    assert "Traceback" not in proc.stderr
 
 
 def _strict_json(text):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwnas.errors import ParseError
+from hwnas.errors import InvalidOp, ParseError
 from hwnas.graph import (CompactNet, MixedStage, OperatorSpec, OpKind, SuperNet,
                          Task, TensorShape, canonical_key, deserialize,
                          output_shape, serialize, validate, walk)
@@ -61,19 +62,6 @@ def test_validate_flags_candidate_channel_mismatch(toy_supernet):
     report = validate(net)
     assert not report.ok
     assert len(report.findings) >= 1
-
-
-def test_identity_channel_mismatch_is_invariant_finding(toy_supernet):
-    bad_stage = MixedStage(
-        (OperatorSpec(OpKind.Identity, 16, 32),),
-        TensorShape(16, 8, 8), TensorShape(16, 8, 8))
-    net = SuperNet(task=toy_supernet.task, input_shape=toy_supernet.input_shape,
-                   stem=toy_supernet.stem,
-                   stages=toy_supernet.stages[:2] + (bad_stage,),
-                   head=toy_supernet.head, num_classes=4)
-    report = validate(net)
-    assert len(report.findings) == 1
-    assert "in_channels" in report.findings[0].message
 
 
 # ---------------------------------------------------------------------------
@@ -277,3 +265,101 @@ def test_every_path_of_a_builtin_space_validates(space):
     assert len(paths) == {"toy-classification": 27, "toy-sr": 18, "calibration": 81}[space]
     for chosen in paths:
         assert validate(net.path(chosen)).ok, chosen
+
+
+# ---------------------------------------------------------------------------
+# operator rules: checked when an OperatorSpec is made
+# ---------------------------------------------------------------------------
+
+def _conv(**changes):
+    return {"kind": "Conv", "in_channels": 16, "out_channels": 16, "kernel": 3, **changes}
+
+
+# Each op, written as a file's layer, breaks one rule of the op check.
+OP_RULES = {
+    "channels-below-1": _conv(in_channels=0),
+    "even-kernel": _conv(kernel=2),
+    "stride-below-1": _conv(stride=0),
+    "scale-below-1": {"kind": "UpsampleNearest", "in_channels": 3, "out_channels": 3,
+                      "scale_factor": 0},
+    "negative-slope": {"kind": "LeakyReLU", "in_channels": 16, "out_channels": 16,
+                       "activation_slope": -0.1},
+    "kernel-does-not-apply": {"kind": "ReLU", "in_channels": 16, "out_channels": 16,
+                              "kernel": 3},
+    "stride-does-not-apply": {"kind": "Identity", "in_channels": 16, "out_channels": 16,
+                              "stride": 2},
+    "expand-ratio-does-not-apply": _conv(expand_ratio="2"),
+    "slope-does-not-apply": {"kind": "ReLU", "in_channels": 16, "out_channels": 16,
+                             "activation_slope": 0.1},
+    "scale-does-not-apply": _conv(scale_factor=2),
+    "same-channels": {"kind": "Identity", "in_channels": 16, "out_channels": 32},
+    "mbconv-hidden-not-integral": {"kind": "MBConv", "in_channels": 3, "out_channels": 16,
+                                   "kernel": 3, "expand_ratio": "1/2"},
+    "depth-to-space-channels": {"kind": "DepthToSpace", "in_channels": 16,
+                                "out_channels": 8, "scale_factor": 2},
+}
+
+
+def _one_layer_file(layer) -> str:
+    return json.dumps({"task": "Classification", "input_shape": [3, 8, 8],
+                       "num_classes": 4, "layers": [layer]})
+
+
+def _layer_error(layer) -> ParseError:
+    with pytest.raises(ParseError) as info:
+        deserialize(_one_layer_file(layer))
+    assert info.value.path == "layers[0]"
+    assert str(info.value).startswith("layers[0]: ")
+    return info.value
+
+
+@pytest.mark.parametrize("case", sorted(OP_RULES))
+def test_op_rule_is_checked_at_construction(case):
+    with pytest.raises(InvalidOp):
+        OperatorSpec(**OP_RULES[case])
+
+
+@pytest.mark.parametrize("case", sorted(OP_RULES))
+def test_op_rule_in_a_file_is_parse_error_at_its_layer(case):
+    _layer_error(OP_RULES[case])
+
+
+# Each layer has one field a net file may not hold.
+OP_FILE_ERRORS = {
+    "unknown-kind": _conv(kind="Foo"),
+    "unknown-field": _conv(padding=1),
+    "missing-in-channels": {"kind": "ReLU", "out_channels": 16},
+    "kernel-a-bool": _conv(kernel=True),
+    "in-channels-a-float": _conv(in_channels=3.0),
+    "expand-ratio-not-integral": {"kind": "MBConv", "in_channels": 16, "out_channels": 16,
+                                  "kernel": 3, "expand_ratio": 1.5},
+    "expand-ratio-a-bool": {"kind": "MBConv", "in_channels": 16, "out_channels": 16,
+                            "kernel": 3, "expand_ratio": True},
+    "slope-a-string": {"kind": "LeakyReLU", "in_channels": 16, "out_channels": 16,
+                       "activation_slope": "steep"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OP_FILE_ERRORS))
+def test_bad_op_field_is_parse_error_at_its_layer(case):
+    _layer_error(OP_FILE_ERRORS[case])
+
+
+def test_integer_slope_reads_as_float():
+    layer = {"kind": "LeakyReLU", "in_channels": 3, "out_channels": 3, "activation_slope": 1}
+    (op,) = deserialize(_one_layer_file(layer)).layers
+    assert type(op.activation_slope) is float and op.activation_slope == 1.0
+    assert canonical_key(op, TensorShape(3, 8, 8)) == "LeakyReLU:k1:s1:e1:i3x8x8:o3:a1.0"
+
+
+def test_random_ops_round_trip_through_net_files():
+    import numpy as np
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        op = _random_op(rng)
+        net = CompactNet(task=Task.Classification, input_shape=TensorShape(op.in_channels, 8, 8),
+                         layers=(op,), num_classes=4)
+        text = serialize(net)
+        back = deserialize(text)
+        assert back == net
+        assert serialize(back) == text
