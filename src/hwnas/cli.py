@@ -263,31 +263,29 @@ def cmd_search_run(args):
         settings["seed"] = args.seed
     cfg = from_fields(search.SearchConfig, settings, args.config or "search run")
     ds = _make_dataset(net, args)
-    state, history = search.train_search(net, ds.train, ds.val, cfg, lut)
+    alphas, rounds = search.train_search(net, ds.train, ds.val, cfg, lut)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     hist_path = out_dir / "history.csv"
-    hist_path.write_text(history.to_csv(), encoding="utf-8")
+    hist_path.write_text(search.history_csv(rounds), encoding="utf-8")
     arch_path = out_dir / "arch.json"
-    write_object(arch_path, {"alphas": [v.tolist() for v in state.arch.vectors]}, indent=2)
+    write_object(arch_path, {"alphas": [a.tolist() for a in alphas]}, indent=2)
     net_path = out_dir / "supernet.net.json"
     save_net(net, net_path)
     return _finish(args, out_dir, "search run", cfg.seed,
                    {"history": hist_path, "arch": arch_path, "supernet": net_path},
-                   {"rounds": len(history.records), "out_dir": str(out_dir)})
+                   {"rounds": len(rounds), "out_dir": str(out_dir)})
 
 
-def _load_arch(path) -> search.ArchParams:
+def _load_arch(path) -> list:
     alphas = field(read_object(path), "alphas", list, path)
-    return search.ArchParams(tuple(numbers(a, f"{path}: alphas[{i}]")
-                                   for i, a in enumerate(alphas)))
+    return [numbers(a, f"{path}: alphas[{i}]") for i, a in enumerate(alphas)]
 
 
 def cmd_derive(args):
     net = _load_net(args.net, SuperNet)
-    arch = _load_arch(args.arch)
-    compact = search.derive_compact(net, arch)
+    compact = search.derive_compact(net, _load_arch(args.arch))
     save_net(compact, args.out)
     return _finish(args, Path(args.out).parent, "derive", None, {"compact": args.out},
                    {"chosen": list(compact.chosen_indices),
@@ -344,19 +342,30 @@ def cmd_lint(args):
     return 0
 
 
+def _write_calibration_csv(path, pairs) -> None:
+    """(predicted, measured) ms pairs under a `predicted_ms,measured_ms` header."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("predicted_ms,measured_ms\n")
+        for p, m in pairs:
+            fh.write(f"{float(p)!r},{float(m)!r}\n")
+
+
 def cmd_calibrate(args):
     net = _load_net(args.net, SuperNet)
     lut = load_lut(args.lut)
     device = _load_device(args.device)
-    report = profiler.calibrate(device, net, lut, num_samples=args.samples,
-                                seed=args.seed, trials=args.trials)
     prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        report = profiler.calibrate(device, net, lut, num_samples=args.samples,
+                                    seed=args.seed, trials=args.trials)
+    except DeviceError as e:
+        path = prefix.with_suffix(".partial.csv")
+        _write_calibration_csv(path, e.partial)
+        raise DeviceError(f"{e}; the {len(e.partial)} networks measured so far "
+                          f"are saved in {path}") from e
     csv_path = prefix.with_suffix(".csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("predicted_ms,measured_ms\n")
-        for p, mmt in zip(report.predicted_ms, report.measured_ms):
-            fh.write(f"{float(p)!r},{float(mmt)!r}\n")
+    _write_calibration_csv(csv_path, zip(report.predicted_ms, report.measured_ms))
     summary = {"mape_percent": report.mape_percent, "pearson": report.pearson,
                "samples": args.samples, "note": report.note}
     json_path = prefix.with_suffix(".json")

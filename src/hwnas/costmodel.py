@@ -56,6 +56,7 @@ class ProfileRecord:
 
     def __post_init__(self):
         check_fields(self)
+        output_shape(self.op, self.input_shape)  # raises InvalidOp when they do not fit
 
 
 def encode_features(op: OperatorSpec, input_shape: TensorShape) -> np.ndarray:

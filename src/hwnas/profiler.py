@@ -241,13 +241,21 @@ def sample_compact(supernet: SuperNet, rng: np.random.Generator) -> CompactNet:
 
 def calibrate(device, supernet: SuperNet, lut: LatencyTable, num_samples: int,
               seed: int = 0, trials: int = DEFAULT_TRIALS) -> CalibrationReport:
-    """Compare summed LUT predictions against whole-net device measurements."""
+    """Compare summed LUT predictions against whole-net device measurements.
+
+    On a device failure the (predicted, measured) pairs so far are attached
+    to the raised DeviceError as `error.partial`.
+    """
     rng = np.random.default_rng(seed)
     predicted, measured = [], []
-    for _ in range(num_samples):
-        net = sample_compact(supernet, rng)
-        predicted.append(compact_latency(net, lut))
-        measured.append(statistics.median(device.run(net, trials)))
+    try:
+        for _ in range(num_samples):
+            net = sample_compact(supernet, rng)
+            predicted.append(compact_latency(net, lut))
+            measured.append(statistics.median(device.run(net, trials)))
+    except DeviceError as e:
+        e.partial = list(zip(predicted, measured))
+        raise
     predicted = np.array(predicted)
     measured = np.array(measured)
     notes = []

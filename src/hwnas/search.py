@@ -10,8 +10,8 @@ the expected-latency regularizer.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,17 +66,6 @@ def total_loss(ce: float, l2: float, e_latency: float, cfg) -> float:
     return ce + cfg.lambda1 * l2 + cfg.lambda2 * e_latency
 
 
-@dataclass(frozen=True)
-class ArchParams:
-    """Per-stage architecture logit vectors."""
-
-    vectors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", tuple(np.asarray(v, dtype=np.float64)
-                                                  for v in self.vectors))
-
-
 @dataclass
 class SearchConfig:
     lambda1: float = bounded(">= 0", 0.0)
@@ -95,30 +84,25 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One history.csv row; each field is a column, in declaration order."""
+
     round: int
     train_loss: float
     val_loss: float
     e_latency_ms: float
-    probs: tuple          # per-stage tuples of p values
+    probs: tuple          # per-stage tuples of p values, one column per candidate
 
-@dataclass
-class SearchHistory:
-    records: list = field(default_factory=list)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        if not self.records:
-            return ""
-        header = ["round", "train_loss", "val_loss", "e_latency_ms"]
-        for i, ps in enumerate(self.records[0].probs):
-            header += [f"stage{i}_cand{j}" for j in range(len(ps))]
-        buf.write(",".join(header) + "\n")
-        for r in self.records:
-            row = [str(r.round), repr(r.train_loss), repr(r.val_loss), repr(r.e_latency_ms)]
-            for ps in r.probs:
-                row += [repr(float(p)) for p in ps]
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+def history_csv(rounds) -> str:
+    """The RoundRecords as CSV, `probs` expanded to stage{i}_cand{j} columns."""
+    if not rounds:
+        return ""
+    names = [f.name for f in dataclasses.fields(RoundRecord) if f.name != "probs"]
+    header = names + [f"stage{i}_cand{j}" for i, ps in enumerate(rounds[0].probs)
+                      for j in range(len(ps))]
+    rows = [[str(r.round)] + [repr(float(getattr(r, n))) for n in names[1:]]  # round: an int
+            + [repr(float(p)) for ps in r.probs for p in ps] for r in rounds]
+    return "".join(",".join(cells) + "\n" for cells in [header] + rows)
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +201,12 @@ def _sgd_batch(model: CompactNetModel, data, batch_size: int, rng, phase: str,
     return loss
 
 
-@dataclass
-class SearchState:
-    model: CompactNetModel
-    arch: ArchParams
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a diverging step ends in NonFiniteLoss
 def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
                  lut: LatencyTable):
-    """Alternating weight/architecture optimization; returns (state, history).
+    """Alternating weight/architecture optimization; returns (alphas, rounds).
+
+    alphas are the per-stage logit arrays and rounds one RoundRecord per round.
 
     train_data/val_data are (inputs, targets) array pairs. Fully deterministic
     given cfg.seed. The LUT must cover every stem/stage/head key.
@@ -235,7 +215,7 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
     fixed_ms = fixed_latency(supernet, lut)
     model = CompactNetModel(supernet, seed=cfg.seed)
     alphas = [np.zeros(len(st.candidates)) for st in supernet.stages]
-    history = SearchHistory()
+    rounds = []
     rng = np.random.default_rng(cfg.seed)
 
     for rnd in range(cfg.rounds):
@@ -265,23 +245,26 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
 
         probs = [path_probs(a) for a in alphas]
         e_lat = expected_network_latency(list(zip(probs, f_vectors)), fixed_ms)
-        history.records.append(RoundRecord(
+        rounds.append(RoundRecord(
             round=rnd,
             train_loss=float(np.mean(train_losses)),
             val_loss=float(np.mean(val_losses)),
             e_latency_ms=e_lat,
             probs=tuple(tuple(float(v) for v in p) for p in probs)))
 
-    return SearchState(model=model, arch=ArchParams(tuple(alphas))), history
+    return alphas, rounds
 
 
-def derive_compact(supernet: SuperNet, arch: ArchParams) -> CompactNet:
-    """Keep the highest-weight candidate per stage; ties break to lowest index."""
-    if len(arch.vectors) != len(supernet.stages):
-        raise LengthMismatch(
-            f"{len(arch.vectors)} arch vectors for {len(supernet.stages)} stages")
+def derive_compact(supernet: SuperNet, alphas) -> CompactNet:
+    """Keep the highest-logit candidate per stage; ties break to lowest index.
+
+    `alphas` is a sequence of per-stage 1-D logit vectors.
+    """
+    if len(alphas) != len(supernet.stages):
+        raise LengthMismatch(f"{len(alphas)} arch vectors for {len(supernet.stages)} stages")
     chosen, ties = [], []
-    for i, (stage, a) in enumerate(zip(supernet.stages, arch.vectors)):
+    for i, (stage, a) in enumerate(zip(supernet.stages, alphas)):
+        a = np.asarray(a, dtype=np.float64)
         if len(a) != len(stage.candidates):
             raise LengthMismatch(f"stage {i}: {len(a)} logits for "
                                  f"{len(stage.candidates)} candidates")

@@ -74,9 +74,9 @@ def cls_searches(cls_supernet, cls_data, cls_lut):
     for lam in (0.0, 20.0, 200.0):
         for seed in (0, 1, 2):
             cfg = SearchConfig(rounds=25, seed=seed, lambda2=lam)
-            state, _ = train_search(cls_supernet, cls_data.train,
-                                    cls_data.val, cfg, cls_lut)
-            out[(lam, seed)] = derive_compact(cls_supernet, state.arch)
+            alphas, _ = train_search(cls_supernet, cls_data.train,
+                                     cls_data.val, cfg, cls_lut)
+            out[(lam, seed)] = derive_compact(cls_supernet, alphas)
     return out
 
 
@@ -90,8 +90,8 @@ def sr_searches():
     for lam in (0.0, 50.0):
         for seed in (0, 1, 2):
             cfg = SearchConfig(rounds=10, seed=seed, lambda2=lam, batch_size=8)
-            state, _ = train_search(supernet, ds.train, ds.val, cfg, lut)
-            out[(lam, seed)] = derive_compact(supernet, state.arch)
+            alphas, _ = train_search(supernet, ds.train, ds.val, cfg, lut)
+            out[(lam, seed)] = derive_compact(supernet, alphas)
     return supernet, out
 
 

@@ -316,6 +316,38 @@ MALFORMED_FILES["train-compact-fewer-logits-than-classes"] = (
     {"c.net.json": _json(CLS_NET)}, [*TRAIN, "--steps", "1", "--data-samples", "8",
                                      "--data-size", "2"])
 
+# A record whose op does not fit its input shape: a 16-channel Conv on a 3-channel map.
+UNFIT_RECORD = _json({"op": {"kind": "Conv", "in_channels": 16, "out_channels": 16,
+                             "kernel": 3},
+                      "input_shape": [3, 8, 8], "measured_cycles": 1000.0})
+DERIVE = ["derive", "--net", "toy-classification", "--arch", "{tmp}/arch.json",
+          "--out", "{tmp}/c.net.json"]
+
+# Inputs that parse but do not fit: the error names the cause and its place.
+INPUT_ERRORS = {
+    "records-op-does-not-fit-its-shape": (
+        {"r.records.jsonl": b"\n".join([UNFIT_RECORD] * 60)},
+        ["costmodel", "train", "--records", "{tmp}/r.records.jsonl", "--out", "{tmp}/m.json"],
+        "{tmp}/r.records.jsonl:1: Conv: expects 16 channels"),
+    "arch-two-vectors-for-three-stages": (
+        {"arch.json": _json({"alphas": [[0.0, 0.0, 0.0]] * 2})}, DERIVE,
+        "2 arch vectors for 3 stages"),
+    "arch-stage-vector-of-wrong-length": (
+        {"arch.json": _json({"alphas": [[0.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 0.0]]})},
+        DERIVE, "stage 1: 2 logits for 3 candidates"),
+}
+MALFORMED_FILES.update({case: (files, argv) for case, (files, argv, _) in INPUT_ERRORS.items()})
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_error_names_its_cause_and_writes_nothing(case, tmp_path, capsys):
+    files, argv, message = INPUT_ERRORS[case]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert run_cli(*[a.format(tmp=tmp_path) for a in argv]) == 1
+    assert message.format(tmp=tmp_path) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
 def test_malformed_file_exit_1_without_traceback(case, tmp_path):
@@ -674,6 +706,41 @@ def test_lut_build_keeps_partial_table_of_failed_profile(tmp_path, capsys):
     assert lut.incomplete
     assert sorted(k for k in lut.entries if not k.startswith("Identity")) == [
         "Conv:k3:s1:e1:i16x8x8:o16", "Conv:k3:s1:e1:i3x8x8:o16"]
+
+
+def _counting_device(tmp_path, fail_on: int) -> Path:
+    """A command device config whose script answers 0.5 ms and fails on call `fail_on`."""
+    script = tmp_path / "dev.py"
+    script.write_text(
+        "import pathlib, sys\n"
+        f"count = pathlib.Path({str(tmp_path / 'calls')!r})\n"
+        "n = int(count.read_text()) + 1 if count.exists() else 1\n"
+        "count.write_text(str(n))\n"
+        f"if n == {fail_on}:\n"
+        "    sys.exit('device lost')\n"
+        "for _ in range(int(sys.argv[2])):\n"
+        "    print(0.5)\n")
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps({"type": "command", "command_template":
+                               f"{sys.executable} {script} {{graph}} {{trials}}"}))
+    return dev
+
+
+def test_calibrate_keeps_pairs_measured_before_a_device_failure(tmp_path, capsys):
+    lut = tmp_path / "toy.lut.json"
+    assert run_cli("lut", "build", "--net", "toy-classification", "--out", str(lut)) == 0
+    prefix = tmp_path / "cal" / "c"
+    assert run_cli("calibrate", "--net", "toy-classification", "--lut", str(lut),
+                   "--device", str(_counting_device(tmp_path, 3)), "--samples", "5",
+                   "--trials", "1", "--out-prefix", str(prefix)) == 1
+    partial = tmp_path / "cal" / "c.partial.csv"
+    err = capsys.readouterr().err
+    assert err.startswith("error: device command exited 1: device lost")
+    assert f"the 2 networks measured so far are saved in {partial}" in err
+    assert sorted(p.name for p in partial.parent.iterdir()) == ["c.partial.csv"]
+    header, *rows = partial.read_text().splitlines()
+    assert header == "predicted_ms,measured_ms"
+    assert [float(r.split(",")[1]) for r in rows] == [0.5, 0.5]
 
 
 # ---------------------------------------------------------------------------

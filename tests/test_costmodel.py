@@ -8,7 +8,7 @@ from hwnas.costmodel import (FEATURE_DIM, HIDDEN, CostModel, CostModelConfig, Pr
                              load_records, lut_from_model, predict,
                              save_model, save_records, simulate_records,
                              train_cost_model)
-from hwnas.errors import HwnasError, InsufficientData
+from hwnas.errors import HwnasError, InsufficientData, InvalidOp
 from hwnas.graph import OperatorSpec, OpKind, TensorShape
 from hwnas.profiler import SimulatedVPU
 
@@ -131,6 +131,11 @@ def test_records_round_trip(tmp_path):
     path = tmp_path / "w.records.jsonl"
     save_records(records, path)
     assert load_records(path) == records
+
+
+def test_record_whose_op_does_not_fit_its_shape_is_invalid():
+    with pytest.raises(InvalidOp, match="^Conv: expects 16 channels, input has 3"):
+        ProfileRecord(OperatorSpec(OpKind.Conv, 16, 16, kernel=3), TensorShape(3, 8, 8), 1000.0)
 
 
 def test_model_round_trip(tmp_path):

@@ -1,16 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hwnas.errors import NonFiniteLoss
+from hwnas.errors import LengthMismatch, NonFiniteLoss
 from hwnas.graph import (MixedStage, OperatorSpec, OpKind, SuperNet, Task,
                          TensorShape)
 from hwnas.latency import LatencyTable
 from hwnas.profiler import enumerate_search_space
-from hwnas.search import (ArchParams, SearchConfig, arch_grad, derive_compact,
-                          path_probs, sample_gate, total_loss, train_compact,
-                          train_search, weight_l2)
+from hwnas.search import (RoundRecord, SearchConfig, arch_grad, derive_compact,
+                          history_csv, path_probs, sample_gate, total_loss,
+                          train_compact, train_search, weight_l2)
 
 
 # ---------------------------------------------------------------------------
@@ -146,28 +147,63 @@ def _one_stage_net(candidates):
 
 
 def test_derive_argmax(toy_supernet):
-    arch = ArchParams((np.array([0.2, 1.3, -0.5]),
-                       np.array([0.0, 0.0, 1.0]),
-                       np.array([2.0, 0.0, 0.0])))
+    arch = [np.array([0.2, 1.3, -0.5]),
+            np.array([0.0, 0.0, 1.0]),
+            np.array([2.0, 0.0, 0.0])]
     net = derive_compact(toy_supernet, arch)
     assert net.chosen_indices == (1, 2, 0)
     assert net.tie_stages == ()
 
 
 def test_derive_tie_break_lowest_index(toy_supernet):
-    arch = ArchParams((np.array([1.0, 1.0, 0.0]),
-                       np.array([0.0, 0.0, 1.0]),
-                       np.array([2.0, 0.0, 0.0])))
+    arch = [np.array([1.0, 1.0, 0.0]),
+            np.array([0.0, 0.0, 1.0]),
+            np.array([2.0, 0.0, 0.0])]
     net = derive_compact(toy_supernet, arch)
     assert net.chosen_indices[0] == 0
     assert net.tie_stages == (0,)
 
 
 def test_derive_shift_invariance(toy_supernet):
-    base = ArchParams((np.array([0.2, 1.3, -0.5]),) * 3)
-    shifted = ArchParams(tuple(v + 5.0 for v in base.vectors))
+    base = [np.array([0.2, 1.3, -0.5])] * 3
+    shifted = [v + 5.0 for v in base]
     assert (derive_compact(toy_supernet, base).chosen_indices
             == derive_compact(toy_supernet, shifted).chosen_indices)
+
+
+def test_derive_accepts_json_lists(toy_supernet):
+    lists = [[0.2, 1.3, -0.5], [1, 1, 0], [0.0, 0.0, 1.0]]
+    assert (derive_compact(toy_supernet, lists)
+            == derive_compact(toy_supernet, [np.array(v, dtype=np.float64) for v in lists]))
+
+
+def test_derive_too_few_vectors_is_length_mismatch(toy_supernet):
+    with pytest.raises(LengthMismatch, match="^2 arch vectors for 3 stages$"):
+        derive_compact(toy_supernet, [[0.0, 0.0, 0.0]] * 2)
+
+
+def test_derive_wrong_candidate_count_is_length_mismatch(toy_supernet):
+    with pytest.raises(LengthMismatch, match="^stage 1: 2 logits for 3 candidates$"):
+        derive_compact(toy_supernet, [[0.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# history_csv
+# ---------------------------------------------------------------------------
+
+def test_history_csv_columns_follow_round_record_fields():
+    rec = RoundRecord(round=0, train_loss=1.5, val_loss=2, e_latency_ms=np.float64(0.25),
+                      probs=((0.5, 0.5), (0.25, 0.25, 0.5)))
+    header, row = history_csv([rec]).splitlines()
+    names = [f.name for f in dataclasses.fields(RoundRecord)]
+    assert names[-1] == "probs"
+    assert header.split(",") == names[:-1] + [
+        "stage0_cand0", "stage0_cand1", "stage1_cand0", "stage1_cand1", "stage1_cand2"]
+    assert row == "0,1.5,2.0,0.25,0.5,0.5,0.25,0.25,0.5"
+
+
+def test_history_csv_of_no_rounds_is_empty():
+    assert history_csv([]) == ""
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +224,10 @@ def _uniform_lut(supernet, value=0.01):
 def test_rounds_zero_returns_initial_state(toy_supernet):
     ds = _toy_data()
     cfg = SearchConfig(rounds=0, seed=1)
-    state, history = train_search(toy_supernet, ds.train, ds.val, cfg,
+    alphas, rounds = train_search(toy_supernet, ds.train, ds.val, cfg,
                                   _uniform_lut(toy_supernet))
-    assert history.records == []
-    for v in state.arch.vectors:
+    assert rounds == []
+    for v in alphas:
         assert np.all(v == 0.0)
 
 
@@ -201,7 +237,7 @@ def test_search_deterministic_history(toy_supernet):
     cfg = SearchConfig(rounds=4, seed=5)
     _, h1 = train_search(toy_supernet, ds.train, ds.val, cfg, lut)
     _, h2 = train_search(toy_supernet, ds.train, ds.val, cfg, lut)
-    assert h1.to_csv() == h2.to_csv()
+    assert history_csv(h1) == history_csv(h2)
 
 
 def test_search_prefers_conv_when_needed():
@@ -212,8 +248,8 @@ def test_search_prefers_conv_when_needed():
     ds = generate_classification_dataset(
         DatasetSpec(Task.Classification, 160, 4, num_classes=2, seed=42))
     cfg = SearchConfig(rounds=25, seed=42, lambda2=0.0)
-    state, _ = train_search(net, ds.train, ds.val, cfg, _uniform_lut(net))
-    p = path_probs(state.arch.vectors[0])
+    alphas, _ = train_search(net, ds.train, ds.val, cfg, _uniform_lut(net))
+    p = path_probs(alphas[0])
     assert p[1] > 0.5  # conv candidate favored
 
 
@@ -222,7 +258,7 @@ def test_history_csv_header(toy_supernet):
     cfg = SearchConfig(rounds=2, seed=0)
     _, hist = train_search(toy_supernet, ds.train, ds.val, cfg,
                            _uniform_lut(toy_supernet))
-    header = hist.to_csv().splitlines()[0]
+    header = history_csv(hist).splitlines()[0]
     assert header.startswith("round,train_loss,val_loss,e_latency_ms")
     assert "stage0_cand0" in header
 
