@@ -360,15 +360,15 @@ def cmd_calibrate(args):
         report = profiler.calibrate(device, net, lut, num_samples=args.samples,
                                     seed=args.seed, trials=args.trials)
     except DeviceError as e:
-        path = prefix.with_suffix(".partial.csv")
+        path = Path(f"{prefix}.partial.csv")
         _write_calibration_csv(path, e.partial)
         raise DeviceError(f"{e}; the {len(e.partial)} networks measured so far "
                           f"are saved in {path}") from e
-    csv_path = prefix.with_suffix(".csv")
+    csv_path = Path(f"{prefix}.csv")
     _write_calibration_csv(csv_path, zip(report.predicted_ms, report.measured_ms))
     summary = {"mape_percent": report.mape_percent, "pearson": report.pearson,
                "samples": args.samples, "note": report.note}
-    json_path = prefix.with_suffix(".json")
+    json_path = Path(f"{prefix}.json")
     write_object(json_path, summary, indent=2)
     return _finish(args, prefix.parent, "calibrate", args.seed,
                    {"calibration_csv": csv_path, "calibration_json": json_path}, summary)

@@ -12,6 +12,13 @@ allocated once per fit. It is bitwise equal to a plain per-parameter Adam
 over freshly allocated arrays: each element sees the same float operations
 in the same order, and each matrix product the same operands and
 orientation. `tests/test_golden_costmodel.py` pins the result.
+
+The RESTARTS fits run across up to min(RESTARTS, usable CPUs) processes.
+Every start is drawn before any fit runs, so a fit depends only on its
+arguments and its result is bitwise the same in whichever process runs it;
+the winner is chosen in restart order as in one process. So the model, its
+report and its curves are bitwise the same for any CPU count (at a fixed
+BLAS thread count; see README).
 """
 
 from __future__ import annotations
@@ -19,6 +26,9 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +143,18 @@ def _param_views(flat: np.ndarray, shapes: dict) -> dict:
     return views
 
 
+def _draw_start(rng, d: int) -> tuple:
+    """One restart's initial (w1, w2, w3), He-scaled; `_fit_once` sets the biases."""
+    h1, h2 = HIDDEN
+    return (rng.normal(0, math.sqrt(2.0 / d), (h1, d)),
+            rng.normal(0, math.sqrt(2.0 / h1), (h2, h1)),
+            rng.normal(0, math.sqrt(2.0 / h2), h2))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a diverging fit ends in NonFiniteLoss
-def _fit_once(rng, cfg, x_tr, t_tr, x_va, t_va, mean, std):
-    """One Adam run with cosine lr decay; returns the best-validation snapshot.
+def _fit_once(start, cfg, x_tr, t_tr, x_va, t_va, mean, std):
+    """One Adam run with cosine lr decay from `start`, a `_draw_start` result;
+    returns (best-validation snapshot, its loss, train curve, val curve).
 
     The parameters, their gradient, Adam's moments and two scratch vectors
     share one flat layout; activations, masks and backward buffers are
@@ -145,13 +164,11 @@ def _fit_once(rng, cfg, x_tr, t_tr, x_va, t_va, mean, std):
     time, in that order; reordering any of them changes the last bits.
     """
     h1, h2 = HIDDEN
-    n, d = x_tr.shape
+    n = len(x_tr)
     size = sum(math.prod(s) for s in _PARAM_SHAPES.values())
     theta, grad, m, v, s1, s2 = (np.zeros(size) for _ in range(6))
     P, G = _param_views(theta, _PARAM_SHAPES), _param_views(grad, _PARAM_SHAPES)
-    P["w1"][...] = rng.normal(0, math.sqrt(2.0 / d), (h1, d))
-    P["w2"][...] = rng.normal(0, math.sqrt(2.0 / h1), (h2, h1))
-    P["w3"][...] = rng.normal(0, math.sqrt(2.0 / h2), h2)
+    P["w1"][...], P["w2"][...], P["w3"][...] = start
     P["b3"][...] = float(t_tr.mean())
     model = CostModel(w1=P["w1"], b1=P["b1"], w2=P["w2"], b2=P["b2"], w3=P["w3"],
                       b3=float(P["b3"]), feat_mean=mean, feat_std=std)
@@ -210,14 +227,109 @@ def _fit_once(rng, cfg, x_tr, t_tr, x_va, t_va, mean, std):
     return best, best_val, train_losses, val_losses
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_each(fit, starts, indices) -> dict:
+    """{i: fit(starts[i]) or the HwnasError it raised} over ascending `indices`.
+
+    Drops each start from `starts` as its fit begins (the fit copies it).
+    Stops at the first error: a later restart can then be neither the
+    winner nor the first failure.
+    """
+    results = {}
+    for i in indices:
+        start, starts[i] = starts[i], None
+        try:
+            results[i] = fit(start)
+        except HwnasError as e:
+            results[i] = e
+            break
+    return results
+
+
+def _fork(fit, starts, indices) -> tuple:
+    """Starts a child that pickles `_fit_each(fit, starts, indices)` into a
+    pipe and exits 0; returns (indices, its pid, the pipe's read end)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1  # unless every result was sent, whatever ends the child
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(_fit_each(fit, starts, indices)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return indices, pid, os.fdopen(read_fd, "rb")
+
+
+def _fit_restarts(fit, starts) -> dict:
+    """{i: fit(starts[i]) or the HwnasError it raised}, over P = min(len(starts),
+    usable CPUs) processes.
+
+    This process fits restarts 0, P, 2P, ... and each of P - 1 forked children
+    its own stride, sent back through a pipe; this process also fits the
+    strides of children it could not fork (no `os.fork`, or OSError). Every
+    child is reaped, and killed first if an error or an interrupt ends the
+    wait; one that ends without sending its results is an HwnasError at its
+    first restart. Restarts after a failure may be missing (see `_fit_each`).
+    Consumes `starts`, so this process holds no more start weights than a
+    sequential fit.
+    """
+    n = len(starts)
+    procs = min(n, _usable_cpus()) if hasattr(os, "fork") else 1
+    children = []
+    try:
+        for first in range(1, procs):
+            try:
+                children.append(_fork(fit, starts, range(first, n, procs)))
+            except OSError:
+                break
+        taken = {i for indices, _, _ in children for i in indices}
+        for i in taken:
+            starts[i] = None
+        results = _fit_each(fit, starts, [i for i in range(n) if i not in taken])
+        sent = [pipe.read() for _, _, pipe in children]
+    except BaseException:
+        for _, pid, _ in children:
+            os.kill(pid, signal.SIGKILL)  # not yet reaped, so still ours even if it ended
+        raise
+    finally:
+        for *_, pipe in children:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for _, pid, _ in children]
+    for (indices, _, _), data, code in zip(children, sent, codes):
+        if code != 0:
+            how = f"exit status {code}" if code > 0 else f"signal {-code}"
+            results[indices[0]] = HwnasError(
+                f"a cost-model fitting process ended ({how}) before sending its results")
+        else:
+            results.update(pickle.loads(data))
+    return results
+
+
 def train_cost_model(records, config: CostModelConfig = None):
     """Fit the MLP on profile records; returns (CostModel, TrainingReport).
 
     Runs RESTARTS independent initializations (shared train/val split) and
     keeps the snapshot with the lowest validation loss seen at any checkpoint:
     with a few hundred records the loss surface is rough enough that single
-    runs land in noticeably different minima. Deterministic given config.seed;
-    raises InsufficientData below MIN_RECORDS records.
+    runs land in noticeably different minima. All starts are drawn first, then
+    fitted across processes (`_fit_restarts`); the first restart with the
+    lowest loss wins, and the first failing restart raises. Deterministic
+    given config.seed, for any CPU count; raises InsufficientData below
+    MIN_RECORDS records.
     """
     cfg = config or CostModelConfig()
     records = list(records)
@@ -236,12 +348,16 @@ def train_cost_model(records, config: CostModelConfig = None):
     mean = x_tr.mean(axis=0)
     std = np.maximum(x_tr.std(axis=0), 1e-8)
 
+    starts = [_draw_start(rng, feats.shape[1]) for _ in range(RESTARTS)]
+    results = _fit_restarts(lambda start: _fit_once(start, cfg, x_tr, t_tr, x_va, t_va,
+                                                    mean, std), starts)
     best = None
     best_val = np.inf
     best_curves = ([], [])
-    for _ in range(RESTARTS):
-        model, val_loss, tr_losses, va_losses = _fit_once(
-            rng, cfg, x_tr, t_tr, x_va, t_va, mean, std)
+    for i in range(RESTARTS):
+        if isinstance(results[i], HwnasError):
+            raise results[i]
+        model, val_loss, tr_losses, va_losses = results[i]
         if val_loss < best_val:
             best, best_val = model, val_loss
             best_curves = (tr_losses, va_losses)

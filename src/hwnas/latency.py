@@ -81,19 +81,6 @@ def latency_alpha_grad(p, f) -> np.ndarray:
     return p * (f - float(p @ f))
 
 
-def relative_latency_spread(f) -> float:
-    """Largest relative deviation of a candidate latency from the uniform mean.
-
-    max_j |f_j - mean(f)| / mean(f); quantifies how much the table actually
-    distinguishes the candidates of a stage.
-    """
-    f = np.asarray(f, dtype=np.float64)
-    mean = float(f.mean())
-    if mean == 0:
-        return 0.0
-    return float(np.max(np.abs(f - mean)) / mean)
-
-
 # ---------------------------------------------------------------------------
 # Search-space views
 # ---------------------------------------------------------------------------

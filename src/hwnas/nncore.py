@@ -1,9 +1,9 @@
 """Minimal reverse-mode compute core over float64 numpy arrays.
 
 Covers forward/backward for every OperatorSpec kind, cross-entropy and MSE
-losses, a plain SGD step with L2 weight decay, and a central finite-difference
-gradient checker. Desk-scale only. `KERNELS` holds each kind's (forward,
-backward) pair; its parameter shapes and children come from `graph.KINDS`.
+losses and a plain SGD step with L2 weight decay. Desk-scale only. `KERNELS`
+holds each kind's (forward, backward) pair; its parameter shapes and children
+come from `graph.KINDS`.
 
 A backward pass computes only what its caller reads: it can skip the input
 gradient (the first layer of a net) or the parameter gradients (architecture
@@ -698,11 +698,6 @@ class ModuleInstance:
         return KERNELS[self.spec.kind][1](self, g, cache, input_grad, param_grads)
 
 
-def parameter_count(spec: OperatorSpec) -> int:
-    """Number of learnable scalars an instance of `spec` carries."""
-    return sum(math.prod(shape) for shape in KINDS[spec.kind].params(spec).values())
-
-
 # ---------------------------------------------------------------------------
 # Losses and optimizer
 # ---------------------------------------------------------------------------
@@ -740,60 +735,6 @@ def sgd_step(params, lr: float, weight_decay: float = 0.0) -> None:
     for p in params:
         p.value -= lr * (p.grad + 2.0 * weight_decay * p.value)
         p.zero_grad()
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient checking
-# ---------------------------------------------------------------------------
-
-def grad_check(instance: ModuleInstance, input_shape: TensorShape,
-               batch: int = 2, step: float = 1e-3, seed: int = 0) -> dict:
-    """Compare analytic grads against central finite differences.
-
-    The scalar objective is a fixed random projection of the output. All
-    parameters are jittered to a generic point first: zero-initialized biases
-    would otherwise park ReLU pre-activations exactly on the kink, where
-    finite differences are meaningless. Returns {"max_rel_err", "per_param",
-    "input_rel_err"}.
-    """
-    rng = np.random.default_rng(seed)
-    for p in instance.params.values():
-        p.value += 0.2 * rng.standard_normal(p.value.shape)
-    x = rng.standard_normal((batch, input_shape.channels,
-                             input_shape.height, input_shape.width))
-    out = instance.forward(x)
-    proj = rng.standard_normal(out.shape)
-
-    instance.zero_grad()
-    instance.forward(x)
-    dx = instance.backward(proj)
-
-    def objective():
-        return float(np.sum(instance.forward(x) * proj))
-
-    def max_rel_err(values, analytic):
-        """Worst relative error of `analytic` against central differences,
-        perturbing `values` in place one entry at a time."""
-        flat, analytic = values.reshape(-1), analytic.reshape(-1)
-        err = 0.0
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = objective()
-            flat[i] = orig - step
-            lo = objective()
-            flat[i] = orig
-            f = (hi - lo) / (2 * step)
-            err = max(err, abs(analytic[i] - f) / max(abs(analytic[i]), abs(f), 1e-6))
-        return err
-
-    report = {"per_param": {name: max_rel_err(p.value, p.grad.copy())
-                            for name, p in instance.params.items()},
-              "input_rel_err": max_rel_err(x, dx)}
-    report["max_rel_err"] = max([*report["per_param"].values(), report["input_rel_err"]])
-    instance.zero_grad()
-    instance._cache = None
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,16 @@ from hwnas.datasets import DatasetSpec, generate_classification_dataset, \
 from hwnas.graph import (CompactNet, OperatorSpec, OpKind, Task, TensorShape,
                          output_shape)
 from hwnas.latency import (expected_network_latency, latency_alpha_grad,
-                           compact_latency, relative_latency_spread)
+                           compact_latency)
 from hwnas.lint import lint_network
-from hwnas.nncore import ModuleInstance, grad_check
+from hwnas.nncore import ModuleInstance
 from hwnas.profiler import SimulatedVPU, build_lut, calibrate, \
     enumerate_search_space
 from hwnas.search import (SearchConfig, derive_compact, train_compact,
                           train_search, accuracy)
 from hwnas.spaces import (calibration_supernet, toy_classification_supernet,
                           toy_sr_supernet)
+from helpers import grad_check, relative_latency_spread
 
 
 def _softmax(a):

@@ -743,6 +743,23 @@ def test_calibrate_keeps_pairs_measured_before_a_device_failure(tmp_path, capsys
     assert [float(r.split(",")[1]) for r in rows] == [0.5, 0.5]
 
 
+def test_calibrate_appends_its_suffixes_to_a_dotted_prefix(tmp_path, capsys):
+    """`cal.v2` and `cal.v3` are two prefixes, not two names for `cal.*`."""
+    lut = tmp_path / "toy.lut.json"
+    assert run_cli("lut", "build", "--net", "toy-classification", "--out", str(lut)) == 0
+    out = tmp_path / "out"
+    for version in ("v2", "v3"):
+        assert run_cli("calibrate", "--net", "toy-classification", "--lut", str(lut),
+                       "--samples", "3", "--out-prefix", str(out / f"cal.{version}")) == 0
+    assert run_cli("calibrate", "--net", "toy-classification", "--lut", str(lut),
+                   "--device", str(_counting_device(tmp_path, 2)), "--samples", "3",
+                   "--trials", "1", "--out-prefix", str(out / "cal.v4")) == 1
+    assert f"saved in {out / 'cal.v4.partial.csv'}" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "cal.v2.csv", "cal.v2.json", "cal.v3.csv", "cal.v3.json", "cal.v4.partial.csv",
+        "run_manifest.json"]
+
+
 # ---------------------------------------------------------------------------
 # full small pipeline
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from hwnas.errors import MissingEntry, NotNormalized
 from hwnas.graph import OperatorSpec, OpKind, TensorShape
 from hwnas.latency import (LatencyTable, expected_network_latency,
                            expected_stage_latency, latency_alpha_grad, load_lut,
-                           lookup, relative_latency_spread, save_lut)
+                           lookup, save_lut)
+from helpers import relative_latency_spread
 
 # Per-candidate MBConv6 latencies at 7x7x160, kernels 3/5/7 (ms).
 MBCONV6_160_MS = [0.0463, 0.046416, 0.047016]

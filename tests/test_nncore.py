@@ -6,8 +6,9 @@ import pytest
 
 from hwnas.errors import ShapeMismatch, StaleState
 from hwnas.graph import OperatorSpec, OpKind, TensorShape
-from hwnas.nncore import (ModuleInstance, grad_check, load_checkpoint, loss_ce,
-                          loss_mse, parameter_count, save_checkpoint, sgd_step)
+from hwnas.nncore import (ModuleInstance, load_checkpoint, loss_ce, loss_mse,
+                          save_checkpoint, sgd_step)
+from helpers import grad_check, parameter_count
 
 # Finite-difference step per kind: kinked ops (ReLU-family, max, MBConv's
 # internal ReLUs) need a smaller step to avoid crossing activation boundaries.
