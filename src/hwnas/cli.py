@@ -256,11 +256,10 @@ def cmd_costmodel_eval(args):
 def cmd_search_run(args):
     net = _load_net(args.net, SuperNet)
     lut = load_lut(args.lut)
-    settings = read_object(args.config) if args.config else {
-        f.name: getattr(args, f.name) for f in dataclasses.fields(search.SearchConfig)
-        if f.name != "seed"}
-    if args.seed is not None:
-        settings["seed"] = args.seed
+    settings = read_object(args.config) if args.config else {}
+    for f in dataclasses.fields(search.SearchConfig):  # a flag given overrides the file
+        if getattr(args, f.name) is not None:
+            settings[f.name] = getattr(args, f.name)
     cfg = from_fields(search.SearchConfig, settings, args.config or "search run")
     ds = _make_dataset(net, args)
     alphas, rounds = search.train_search(net, ds.train, ds.val, cfg, lut)
@@ -357,17 +356,15 @@ def cmd_calibrate(args):
     device = _load_device(args.device)
     prefix = Path(args.out_prefix)
     try:
-        report = profiler.calibrate(device, net, lut, num_samples=args.samples,
-                                    seed=args.seed, trials=args.trials)
+        pairs, summary = profiler.calibrate(device, net, lut, num_samples=args.samples,
+                                            seed=args.seed, trials=args.trials)
     except DeviceError as e:
         path = Path(f"{prefix}.partial.csv")
         _write_calibration_csv(path, e.partial)
         raise DeviceError(f"{e}; the {len(e.partial)} networks measured so far "
                           f"are saved in {path}") from e
     csv_path = Path(f"{prefix}.csv")
-    _write_calibration_csv(csv_path, zip(report.predicted_ms, report.measured_ms))
-    summary = {"mape_percent": report.mape_percent, "pearson": report.pearson,
-               "samples": args.samples, "note": report.note}
+    _write_calibration_csv(csv_path, pairs)
     json_path = Path(f"{prefix}.json")
     write_object(json_path, summary, indent=2)
     return _finish(args, prefix.parent, "calibrate", args.seed,
@@ -463,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help=".search.json config file")
     for f in dataclasses.fields(search.SearchConfig):  # --weight-steps: weight_steps_per_round
         flag = "--" + f.name.removesuffix("_per_round").replace("_", "-")
-        _setting(p, flag, search.SearchConfig, f.name,
-                 default=None if f.name == "seed" else f.default)
+        _setting(p, flag, search.SearchConfig, f.name, default=None)
     p.add_argument("--out-dir", required=True)
     _add_dataset_args(p)
     p.set_defaults(func=cmd_search_run)

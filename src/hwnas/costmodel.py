@@ -39,7 +39,7 @@ from .graph import (KINDS, OperatorSpec, OpKind, SuperNet, TensorShape, _op_from
                     _op_to_json, _shape_from_json, output_shape)
 from .jsonio import (array_from_json, array_to_json, bounded, check_fields, field,
                      from_fields, loads_object, read_object, read_text, write_object)
-from .latency import DEFAULT_CLOCK_GHZ, LatencyTable
+from .latency import DEFAULT_CLOCK_GHZ, LatencyTable, mape_percent
 from .profiler import enumerate_search_space
 
 MODEL_VERSION = 1
@@ -74,7 +74,7 @@ def encode_features(op: OperatorSpec, input_shape: TensorShape) -> np.ndarray:
     vec = np.zeros(FEATURE_DIM)
     vec[_KIND_ORDER.index(op.kind)] = 1.0
     scalars = [op.in_channels, op.out_channels, input_shape.height, input_shape.width,
-               op.kernel, op.stride, op.expand_ratio.numerator, op.scale_factor]
+               op.kernel, op.stride, float(op.expand_ratio), op.scale_factor]
     off = len(_KIND_ORDER)
     for i, v in enumerate(scalars):
         vec[off + i] = math.log2(1 + v)
@@ -128,9 +128,7 @@ class TrainingReport:
 
 def _mape_from_log(pred_log, true_log) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged model reads inf or NaN
-        pred = np.exp(pred_log)
-        true = np.exp(true_log)
-        return float(np.mean(np.abs(pred - true) / true) * 100.0)
+        return mape_percent(np.exp(pred_log), np.exp(true_log))
 
 
 def _param_views(flat: np.ndarray, shapes: dict) -> dict:
@@ -378,11 +376,8 @@ def evaluate_mape(model: CostModel, records) -> float:
     records = list(records)
     if not records:
         raise EmptySet("no records to evaluate")
-    errs = []
-    for r in records:
-        pred = predict(model, r.op, r.input_shape)
-        errs.append(abs(pred - r.measured_cycles) / r.measured_cycles)
-    return float(np.mean(errs) * 100.0)
+    return mape_percent([predict(model, r.op, r.input_shape) for r in records],
+                        [r.measured_cycles for r in records])
 
 
 def lut_from_model(model: CostModel, supernet: SuperNet,

@@ -49,7 +49,7 @@ class TensorShape:
     def __post_init__(self):
         for name in ("channels", "height", "width"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:  # a bool is not a size
                 raise InvalidOp(f"TensorShape.{name} must be a positive integer, got {v!r}")
 
     @property
@@ -470,10 +470,12 @@ def _op_from_json(obj, path: str) -> OperatorSpec:
 
 
 def _shape_from_json(v, path: str) -> TensorShape:
-    if (not isinstance(v, list) or len(v) != 3
-            or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in v)):
-        raise ParseError(f"input_shape must be [C,H,W] positive integers, got {v!r}", path)
-    return TensorShape(*v)
+    if not isinstance(v, list) or len(v) != 3:
+        raise ParseError(f"input_shape must be a list [C, H, W], got {v!r:.80}", path)
+    try:
+        return TensorShape(*v)
+    except InvalidOp as e:
+        raise ParseError(str(e), path)
 
 
 def serialize(net: Net) -> str:

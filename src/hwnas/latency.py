@@ -105,6 +105,12 @@ def compact_latency(net: CompactNet, lut: LatencyTable) -> float:
     return sum((lookup(lut, op, shape) for _, op, shape in walk(net)), 0.0)
 
 
+def mape_percent(pred, true) -> float:
+    """Mean absolute percentage error of `pred` against `true`, in percent."""
+    pred, true = np.asarray(pred, dtype=np.float64), np.asarray(true, dtype=np.float64)
+    return float(np.mean(np.abs(pred - true) / true) * 100.0)
+
+
 # ---------------------------------------------------------------------------
 # LUT file I/O: {"metadata": {...}, "entries": {key: ms}}
 # ---------------------------------------------------------------------------

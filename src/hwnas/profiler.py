@@ -17,7 +17,6 @@ import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .errors import DeviceError, NotStackable
 from .graph import (KINDS, CompactNet, OperatorSpec, OpKind, SuperNet, Task, TensorShape,
                     canonical_key, output_shape, save_net, validate, walk)
 from .jsonio import bounded, check_fields, check_number
-from .latency import LatencyTable, compact_latency
+from .latency import LatencyTable, compact_latency, mape_percent
 
 log = logging.getLogger(__name__)
 
@@ -96,8 +95,9 @@ class ExternalCommandRunner:
     """Runs a shell command per measurement; hook for real-device pipelines.
 
     The template receives `{graph}` (path to the serialized subgraph) and
-    optionally `{trials}`; the command must print one finite, non-negative
-    latency in ms per line, `trials` lines total.
+    optionally `{trials}`, and is checked when the runner is made: any other
+    field or a malformed brace is a ValueError. The command must print one
+    finite, non-negative latency in ms per line, `trials` lines total.
     """
 
     command_template: str
@@ -106,6 +106,11 @@ class ExternalCommandRunner:
 
     def __post_init__(self):
         check_fields(self)
+        try:
+            self.command_template.format(graph="subgraph.net.json", trials=1)
+        except (KeyError, IndexError, AttributeError, TypeError, ValueError) as e:
+            raise ValueError(f"command_template {self.command_template!r:.80} does not "
+                             f"format with {{graph}} and {{trials}}: {e!r}")
 
     def run(self, net: CompactNet, trials: int) -> list:
         with tempfile.TemporaryDirectory() as tmp:
@@ -219,55 +224,42 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
-    """Predicted-vs-measured whole-network latency comparison."""
-
-    predicted_ms: tuple
-    measured_ms: tuple
-    mape_percent: Optional[float]
-    pearson: Optional[float]
-    note: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "predicted_ms", tuple(self.predicted_ms))
-        object.__setattr__(self, "measured_ms", tuple(self.measured_ms))
-
-
 def sample_compact(supernet: SuperNet, rng: np.random.Generator) -> CompactNet:
     """Uniform-random compact network from the search space."""
     return supernet.path([int(rng.integers(len(st.candidates))) for st in supernet.stages])
 
 
 def calibrate(device, supernet: SuperNet, lut: LatencyTable, num_samples: int,
-              seed: int = 0, trials: int = DEFAULT_TRIALS) -> CalibrationReport:
+              seed: int = 0, trials: int = DEFAULT_TRIALS) -> tuple:
     """Compare summed LUT predictions against whole-net device measurements.
 
-    On a device failure the (predicted, measured) pairs so far are attached
-    to the raised DeviceError as `error.partial`.
+    Returns (pairs, summary): each sampled net's (predicted, measured) ms, and
+    a dict of `mape_percent` and `pearson` (None, with the reason in `note`,
+    when undefined), `samples` and `note`. On a device failure the pairs so
+    far are attached to the raised DeviceError as `error.partial`.
     """
     rng = np.random.default_rng(seed)
-    predicted, measured = [], []
+    pairs = []
     try:
         for _ in range(num_samples):
             net = sample_compact(supernet, rng)
-            predicted.append(compact_latency(net, lut))
-            measured.append(statistics.median(device.run(net, trials)))
+            pairs.append((compact_latency(net, lut),
+                          statistics.median(device.run(net, trials))))
     except DeviceError as e:
-        e.partial = list(zip(predicted, measured))
+        e.partial = pairs
         raise
-    predicted = np.array(predicted)
-    measured = np.array(measured)
+    predicted = np.array([p for p, _ in pairs])
+    measured = np.array([m for _, m in pairs])
     notes = []
     if np.any(measured == 0):
         mape = None
         notes.append("MAPE undefined (a measured latency is 0 ms)")
     else:
-        mape = float(np.mean(np.abs(predicted - measured) / measured) * 100.0)
+        mape = mape_percent(predicted, measured)
     if num_samples < 2 or np.std(predicted) == 0 or np.std(measured) == 0:
         pearson = None
         notes.append("correlation undefined (need >= 2 distinct points)")
     else:
         pearson = float(np.corrcoef(predicted, measured)[0, 1])
-    return CalibrationReport(predicted_ms=tuple(predicted), measured_ms=tuple(measured),
-                             mape_percent=mape, pearson=pearson, note="; ".join(notes))
+    return pairs, {"mape_percent": mape, "pearson": pearson, "samples": num_samples,
+                   "note": "; ".join(notes)}

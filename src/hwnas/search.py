@@ -114,7 +114,7 @@ class CompactNetModel:
 
     A supernet keeps its own weights for every stage candidate (no sharing);
     `forward` runs the path that keeps candidate `chosen[i]` of stage `i`, and
-    `backward` and `gate_grads` run back through the path of the last forward.
+    `backward` runs back through the path of the last forward.
     """
 
     def __init__(self, net, seed: int = 0):
@@ -135,7 +135,7 @@ class CompactNetModel:
     def forward(self, x: np.ndarray, chosen=(), keep_stage_outputs: bool = False) -> np.ndarray:
         """Run the path through candidates `chosen` (ignored for a CompactNet).
 
-        `keep_stage_outputs` retains each stage's output for `gate_grads`.
+        `keep_stage_outputs` retains each stage's output for `backward`.
         """
         self._path = [(where, inst) for where, inst in self.instances.items()
                       if where[0] != "stages" or chosen[where[1]] == where[2]]
@@ -146,33 +146,23 @@ class CompactNetModel:
                 self._stage_outputs.append(x)
         return x[:, :, 0, 0] if self.net.task is Task.Classification else x
 
-    def _grad_out(self, g):
-        return g[:, :, None, None] if self.net.task is Task.Classification else g
+    def backward(self, g: np.ndarray, param_grads: bool = True) -> list:
+        """Run back through the last forward's path; return its gate gradients.
 
-    def backward(self, g: np.ndarray) -> None:
-        """Accumulate the parameter grads of the last forward's path.
-
-        Nothing reads the gradient w.r.t. the net input, so the first layer
-        does not compute it.
+        `param_grads` accumulates the path's parameter grads; no layer computes
+        the net input's gradient. Without it the weights are frozen and the
+        pass stops before the stem, which no gate depends on. The result holds
+        dL/dg_i = <dL/dy_i, y_i> for each stage output y_i that the forward
+        kept (`keep_stage_outputs`), and is [] when it kept none.
         """
-        g = self._grad_out(g)
-        for n, (_, inst) in enumerate(reversed(self._path), 1):
-            g = inst.backward(g, input_grad=n < len(self._path))
-
-    def gate_grads(self, g: np.ndarray) -> list:
-        """dL/dg_i = <dL/dy_i, y_i> of each stage's sampled gate, y_i its output.
-
-        Needs a forward with `keep_stage_outputs`. Weights are frozen, so no
-        parameter gradient is accumulated. The backward stops before the
-        stem, which no gate depends on; stage 0 skips its input gradient.
-        """
-        g = self._grad_out(g)
+        g = g[:, :, None, None] if self.net.task is Task.Classification else g
         grads = [0.0] * len(self._stage_outputs)
-        layers = [(where, inst) for where, inst in self._path if where[0] != "stem"]
+        layers = [(where, inst) for where, inst in self._path
+                  if param_grads or where[0] != "stem"]
         for n, (where, inst) in enumerate(reversed(layers), 1):
-            if where[0] == "stages":
+            if where[0] == "stages" and grads:
                 grads[where[1]] = float(np.sum(g * self._stage_outputs[where[1]]))
-            g = inst.backward(g, input_grad=n < len(layers), param_grads=False)
+            g = inst.backward(g, input_grad=n < len(layers), param_grads=param_grads)
         return grads
 
 
@@ -236,7 +226,7 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
                                 keep_stage_outputs=True)
             e_lat = expected_network_latency(list(zip(probs, f_vectors)), fixed_ms)
             val_losses.append(total_loss(ce, l2, e_lat, cfg))
-            gate_scalars = model.gate_grads(g)
+            gate_scalars = model.backward(g, param_grads=False)
             for i, (p, a) in enumerate(zip(probs, alphas)):
                 dl_dg = np.zeros(len(p))
                 dl_dg[gates[i]] = gate_scalars[i]

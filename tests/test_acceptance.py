@@ -215,9 +215,9 @@ def test_criterion_05_calibration():
     dev = SimulatedVPU(noise_sigma_rel=0.0)
     supernet = calibration_supernet()
     lut = build_lut(dev, supernet)
-    report = calibrate(dev, supernet, lut, num_samples=50, seed=0, trials=3)
-    assert report.pearson >= 0.999
-    assert report.mape_percent <= 5.0
+    _, summary = calibrate(dev, supernet, lut, num_samples=50, seed=0, trials=3)
+    assert summary["pearson"] >= 0.999
+    assert summary["mape_percent"] <= 5.0
 
 
 # ---------------------------------------------------------------------------

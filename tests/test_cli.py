@@ -96,6 +96,20 @@ def test_search_config_file_matches_flags_and_seed_overrides_it(tmp_path):
                 == (tmp_path / "flags-seed-3" / name).read_bytes())
 
 
+def test_search_flag_given_overrides_its_config_field(tmp_path):
+    """Every search flag given on the command line, not only --seed, beats the file."""
+    lut = tmp_path / "t.lut.json"
+    assert run_cli("lut", "build", "--net", "toy-classification", "--out", str(lut)) == 0
+    config = tmp_path / "s.json"
+    config.write_text(json.dumps({"rounds": 1, "batch_size": 4, "weight_steps_per_round": 1,
+                                  "arch_steps_per_round": 1}))
+    assert run_cli("search", "run", "--net", "toy-classification", "--lut", str(lut),
+                   "--config", str(config), "--rounds", "2", "--data-samples", "40",
+                   "--out-dir", str(tmp_path / "run")) == 0
+    rows = (tmp_path / "run" / "history.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["0", "1"]
+
+
 LEAKY_NET = {"task": "Classification", "input_shape": [3, 4, 4], "num_classes": 2,
              "layers": [{"kind": "LeakyReLU", "in_channels": 3, "out_channels": 3,
                          "activation_slope": "steep"}]}
@@ -117,6 +131,13 @@ MALFORMED = {
     "device-seed-not-an-int": ("dev.json", {"type": "sim", "seed": 1.5},
                                ["lut", "build", "--net", "toy-classification",
                                 "--device", "{file}", "--out", "{tmp}/l.lut.json"]),
+    "device-template-unknown-field": ("dev.json", {"type": "command",
+                                                   "command_template": "echo {nope}"},
+                                      ["lut", "build", "--net", "toy-classification",
+                                       "--device", "{file}", "--out", "{tmp}/l.lut.json"]),
+    "device-template-open-brace": ("dev.json", {"type": "command", "command_template": "echo {"},
+                                   ["lut", "build", "--net", "toy-classification",
+                                    "--device", "{file}", "--out", "{tmp}/l.lut.json"]),
     "report-entry-without-path": ("run_manifest.json",
                                   {"command": "x", "artifacts": {"x": {"sha256": "0"}}},
                                   ["report", "--manifest", "{file}",
@@ -583,6 +604,20 @@ def test_lint_warning_exit_1(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # external command device
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("template, cause", [("echo {nope}", "KeyError"),
+                                             ("echo {", "ValueError"),
+                                             ("echo {0}", "IndexError")])
+def test_bad_command_template_fails_as_the_device_is_read(template, cause, tmp_path, capsys):
+    """A template that does not format names the device file before anything is measured."""
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps({"type": "command", "command_template": template}))
+    assert main(["lut", "build", "--net", "toy-classification", "--device", str(dev),
+                 "--out", str(tmp_path / "l.lut.json")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {dev}: command_template ") and cause in line
+    assert not list(tmp_path.glob("*.lut.json"))
+
 
 def _echo_device(tmp_path, body):
     script = tmp_path / "dev.py"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ def test_encode_stride_changes_one_coordinate():
     b = encode_features(OperatorSpec(OpKind.Conv, 8, 8, kernel=3, stride=2),
                         TensorShape(8, 8, 8))
     assert int(np.sum(a != b)) == 1
+
+
+@pytest.mark.parametrize("ratio, whole", [(Fraction(3, 2), 3), (Fraction(1, 2), 1)])
+def test_encode_fractional_expand_ratio_by_its_value(ratio, whole):
+    shape = TensorShape(16, 8, 8)
+    def mbconv(e):
+        return OperatorSpec(OpKind.MBConv, 16, 16, kernel=3, expand_ratio=e)
+    v = encode_features(mbconv(ratio), shape)
+    assert v[19] == math.log2(1 + float(ratio))
+    assert not np.array_equal(v, encode_features(mbconv(whole), shape))
 
 
 # ---------------------------------------------------------------------------

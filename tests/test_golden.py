@@ -47,6 +47,8 @@ GOLDEN_LINT = {
 }
 
 GOLDEN_CALIBRATE = "fca426e71f98b9bef88b4f96d4a60d0363a261b4aef6763a059d0d2ac5e70951"
+# the raw bytes of calib.json, so its key order counts too
+GOLDEN_CALIBRATE_JSON = "1f1cfc964793841415e08863027c8dc99d006039a1e087158462068ad5857b02"
 
 
 def _sha(text: str) -> str:
@@ -89,3 +91,5 @@ def test_calibrate_golden(tmp_path, noisy_device):
                  "--device", noisy_device, "--samples", "12", "--seed", "3",
                  "--out-prefix", str(tmp_path / "cal" / "calib")]) == 0
     assert content_hash(tmp_path / "cal" / "calib.csv") == GOLDEN_CALIBRATE
+    summary = (tmp_path / "cal" / "calib.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == GOLDEN_CALIBRATE_JSON

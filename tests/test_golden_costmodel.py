@@ -30,6 +30,9 @@ GOLDEN = {
     },
 }
 
+# `costmodel eval --json` stdout: the 100-epoch model on 80 other records
+GOLDEN_EVAL = "708673097e66518c22aa75683a81878d7c90162e39e4094072cd14a0171d51c3"
+
 # repr of (train_losses, val_losses) of the kept restart, 250 epochs
 GOLDEN_CURVES = "9a16db5312304cfb673e243522e0d5f04739cc9351374dc9bd8d2327adc4628d"
 
@@ -46,6 +49,16 @@ def test_costmodel_train_golden(epochs, tmp_path, capsys):
     stdout = capsys.readouterr().out.replace(str(out), "{out}")
     got = {"model": _sha(out.read_bytes()), "stdout": _sha(stdout.encode())}
     assert got == GOLDEN[epochs]
+
+
+def test_costmodel_eval_golden(tmp_path, capsys):
+    model, records = tmp_path / "cost.model.json", tmp_path / "eval.records.jsonl"
+    assert main(["costmodel", "train", *ARGS, "--epochs", "100", "--out", str(model)]) == 0
+    costmodel.save_records(costmodel.simulate_records(SimulatedVPU(), 80, seed=11), records)
+    capsys.readouterr()
+    assert main(["--json", "costmodel", "eval", "--model", str(model),
+                 "--records", str(records)]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == GOLDEN_EVAL
 
 
 def test_costmodel_loss_curves_golden():

@@ -345,6 +345,20 @@ def test_bad_op_field_is_parse_error_at_its_layer(case):
     _layer_error(OP_FILE_ERRORS[case])
 
 
+@pytest.mark.parametrize("dims", [(True, 8, 8), (3, 0, 8), (3, 8, 8.0), (3, [8], 8)])
+def test_tensor_shape_takes_only_positive_integers(dims):
+    with pytest.raises(InvalidOp):
+        TensorShape(*dims)
+
+
+@pytest.mark.parametrize("value", [[True, 8, 8], [3, 0, 8], [3, 8, 8.0], [3, 8], [3, 8, 8, 1]])
+def test_bad_input_shape_in_a_file_is_parse_error_at_input_shape(value):
+    doc = json.loads(_one_layer_file({"kind": "ReLU", "in_channels": 3, "out_channels": 3}))
+    with pytest.raises(ParseError) as info:
+        deserialize(json.dumps(doc | {"input_shape": value}))
+    assert info.value.path == "input_shape"
+
+
 def test_integer_slope_reads_as_float():
     layer = {"kind": "LeakyReLU", "in_channels": 3, "out_channels": 3, "activation_slope": 1}
     (op,) = deserialize(_one_layer_file(layer)).layers

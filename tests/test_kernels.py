@@ -521,7 +521,7 @@ def test_gate_grads_accumulate_nothing_and_match_full_backward(gates):
     x, y = _toy_batch(supernet)
     model = CompactNetModel(supernet, seed=2)
     _, g = loss_ce(model.forward(x, gates, keep_stage_outputs=True), y)
-    scalars = model.gate_grads(g)
+    scalars = model.backward(g, param_grads=False)
     assert all(not p.grad.any() for p in model.named_parameters().values())
 
     # reference: a full backward (input and parameter grads) of a twin model
@@ -538,6 +538,24 @@ def test_gate_grads_accumulate_nothing_and_match_full_backward(gates):
             expect[where[1]] = float(np.sum(d * outputs[where]))
         d = inst.backward(d)
     assert scalars == expect
+
+
+@pytest.mark.parametrize("gates", [(0, 1, 2), (2, 2, 1)])
+def test_one_backward_gives_gate_grads_only_of_kept_outputs(gates):
+    """A parameter step returns the gate grads of a frozen step when the forward
+    kept stage outputs, and [] when it did not; its parameter grads are the same."""
+    supernet = BUILTIN_SPACES["toy-classification"]()
+    x, y = _toy_batch(supernet)
+    frozen, kept, plain = (CompactNetModel(supernet, seed=2) for _ in range(3))
+    _, g = loss_ce(frozen.forward(x, gates, keep_stage_outputs=True), y)
+    expect = frozen.backward(g, param_grads=False)
+    kept.forward(x, gates, keep_stage_outputs=True)
+    plain.forward(x, gates)
+    assert kept.backward(g) == expect
+    assert plain.backward(g) == []
+    got, ref = kept.named_parameters(), plain.named_parameters()
+    assert all(np.array_equal(got[n].grad, ref[n].grad) for n in ref)
+    assert any(p.grad.any() for p in ref.values())
 
 
 def test_first_layer_input_grad_skip_keeps_param_grads():

@@ -256,18 +256,18 @@ def test_build_lut_error_names_first_finding_as_path_and_message(toy_supernet):
 def test_calibrate_single_sample_flags_undefined_correlation(toy_supernet):
     dev = SimulatedVPU(noise_sigma_rel=0.0)
     lut = build_lut(dev, toy_supernet, n=20, trials=3)
-    report = calibrate(dev, toy_supernet, lut, num_samples=1, seed=0, trials=3)
-    assert len(report.predicted_ms) == 1
-    assert report.pearson is None
-    assert report.note
+    pairs, summary = calibrate(dev, toy_supernet, lut, num_samples=1, seed=0, trials=3)
+    assert len(pairs) == 1
+    assert summary["pearson"] is None
+    assert summary["note"]
 
 
 def test_calibrate_noiseless_offset_is_overhead_minus_bias(toy_supernet):
     dev = SimulatedVPU(noise_sigma_rel=0.0)
     n = 200  # large n so the per-entry bias is negligible
     lut = build_lut(dev, toy_supernet, n=n, trials=3)
-    report = calibrate(dev, toy_supernet, lut, num_samples=8, seed=1, trials=3)
-    for p, m in zip(report.predicted_ms, report.measured_ms):
+    pairs, _ = calibrate(dev, toy_supernet, lut, num_samples=8, seed=1, trials=3)
+    for p, m in pairs:
         # predicted = measured - graph overhead + (small per-entry bias)
         assert m - p == pytest.approx(dev.graph_overhead_ms,
                                       abs=len(toy_supernet.stages + (1, 1))
