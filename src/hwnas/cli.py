@@ -20,7 +20,8 @@ from pathlib import Path
 from . import __version__, costmodel, datasets, lint, profiler, search, spaces
 from .errors import DeviceError, HwnasError, ParseError
 from .graph import CompactNet, SuperNet, Task, load_net, save_net, validate
-from .jsonio import check_number, field, from_fields, numbers, read_object, read_text, write_object
+from .jsonio import (check_number, field, from_fields, numbers, read_object, read_text,
+                     write_object, write_text)
 from .latency import DEFAULT_CLOCK_GHZ, compact_latency, load_lut, save_lut
 from .nncore import load_checkpoint, save_checkpoint
 
@@ -46,8 +47,6 @@ def content_hash(path) -> str:
 
 def write_manifest(out_dir, command: str, args, seed, artifacts: dict):
     """Write run_manifest.json; the config hash covers every parsed argument."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg_hash = hashlib.sha256(
         json.dumps(vars(args) | {"func": None}, sort_keys=True).encode()).hexdigest()
     manifest = {
@@ -58,7 +57,7 @@ def write_manifest(out_dir, command: str, args, seed, artifacts: dict):
         "artifacts": {name: {"path": str(p), "sha256": content_hash(p)}
                       for name, p in artifacts.items()},
     }
-    path = out_dir / "run_manifest.json"
+    path = Path(out_dir) / "run_manifest.json"
     write_object(path, manifest, indent=2)
     return path
 
@@ -184,7 +183,7 @@ def svg_scatter(points, xlabel: str, ylabel: str, path):
         parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(y):.1f}" r="3" '
                      f'fill="steelblue" fill-opacity="0.7"/>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(parts) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def cmd_costmodel_train(args):
     model, report = costmodel.train_cost_model(records, cfg)
     costmodel.save_model(model, args.out)
     artifacts = {"model": args.out}
-    if not args.records and args.save_records:
+    if args.save_records:
         artifacts["records"] = args.save_records
     return _finish(args, Path(args.out).parent, "costmodel train", args.seed, artifacts,
                    {"train_mape_percent": report.final_train_mape,
@@ -265,9 +264,8 @@ def cmd_search_run(args):
     alphas, rounds = search.train_search(net, ds.train, ds.val, cfg, lut)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     hist_path = out_dir / "history.csv"
-    hist_path.write_text(search.history_csv(rounds), encoding="utf-8")
+    write_text(hist_path, search.history_csv(rounds))
     arch_path = out_dir / "arch.json"
     write_object(arch_path, {"alphas": [a.tolist() for a in alphas]}, indent=2)
     net_path = out_dir / "supernet.net.json"
@@ -320,8 +318,8 @@ def cmd_eval(args):
         metrics["lut_latency_ms"] = compact_latency(net, load_lut(args.lut))
     if args.out:
         write_object(args.out, metrics, indent=2)
-        write_manifest(Path(args.out).parent, "eval", args, args.seed,
-                       {"metrics": args.out})
+        return _finish(args, Path(args.out).parent, "eval", args.seed,
+                       {"metrics": args.out}, metrics)
     _emit(args, metrics)
     return 0
 
@@ -335,7 +333,7 @@ def cmd_lint(args):
     else:
         print(lint.findings_to_table(findings), end="")
     if args.out:
-        Path(args.out).write_text(lint.findings_to_json(findings), encoding="utf-8")
+        write_text(args.out, lint.findings_to_json(findings))
     if lint.has_warnings(findings) and not args.exit_zero:
         return 1
     return 0
@@ -343,11 +341,8 @@ def cmd_lint(args):
 
 def _write_calibration_csv(path, pairs) -> None:
     """(predicted, measured) ms pairs under a `predicted_ms,measured_ms` header."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("predicted_ms,measured_ms\n")
-        for p, m in pairs:
-            fh.write(f"{float(p)!r},{float(m)!r}\n")
+    write_text(path, "predicted_ms,measured_ms\n"
+               + "".join(f"{float(p)!r},{float(m)!r}\n" for p, m in pairs))
 
 
 def cmd_calibrate(args):
@@ -388,7 +383,6 @@ def _calibration_points(path) -> list:
 def cmd_report(args):
     manifest = read_object(args.manifest)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     produced = {}
     summary = {"source_manifest": args.manifest, "command": manifest.get("command")}
     for name, entry in field(manifest, "artifacts", dict, args.manifest, default={}).items():
@@ -438,10 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cm = sub.add_parser("costmodel").add_subparsers(dest="cm_cmd", required=True)
     p = cm.add_parser("train")
-    p.add_argument("--records", help="profile records (.records.jsonl)")
+    given = p.add_mutually_exclusive_group()  # records are saved only when simulated
+    given.add_argument("--records", help="profile records (.records.jsonl)")
     p.add_argument("--simulate", type=_number(int, f">= {costmodel.MIN_RECORDS}"), default=500,
                    help="generate N records from the device when --records absent")
-    p.add_argument("--save-records", help="where to write simulated records")
+    given.add_argument("--save-records", help="where to write simulated records")
     p.add_argument("--device", default="sim")
     p.add_argument("--clock-ghz", type=_number(float, "> 0"), default=DEFAULT_CLOCK_GHZ)
     for name in ("epochs", "lr", "seed"):

@@ -37,8 +37,8 @@ from .errors import (EmptySet, HwnasError, InsufficientData, InvalidOp, NonFinit
                      ParseError)
 from .graph import (KINDS, OperatorSpec, OpKind, SuperNet, TensorShape, _op_from_json,
                     _op_to_json, _shape_from_json, output_shape)
-from .jsonio import (array_from_json, array_to_json, bounded, check_fields, field,
-                     from_fields, loads_object, read_object, read_text, write_object)
+from .jsonio import (array_from_json, array_to_json, bounded, check_fields, field, from_fields,
+                     loads_object, read_object, read_text, write_object, write_text)
 from .latency import DEFAULT_CLOCK_GHZ, LatencyTable, mape_percent
 from .profiler import enumerate_search_space
 
@@ -389,8 +389,7 @@ def lut_from_model(model: CostModel, supernet: SuperNet,
     """
     entries = {}
     for key, op, shape in enumerate_search_space(supernet):
-        if op.kind is OpKind.Identity:
-            # identities compile away; they never appear in profile records
+        if KINDS[op.kind].free:  # a free kind is never in profile records
             entries[key] = 0.0
             continue
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -407,11 +406,10 @@ def lut_from_model(model: CostModel, supernet: SuperNet,
 # ---------------------------------------------------------------------------
 
 def save_records(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps({"op": _op_to_json(r.op),
-                                 "input_shape": r.input_shape.as_list(),
-                                 "measured_cycles": r.measured_cycles}) + "\n")
+    write_text(path, "".join(json.dumps({"op": _op_to_json(r.op),
+                                         "input_shape": r.input_shape.as_list(),
+                                         "measured_cycles": r.measured_cycles}) + "\n"
+                             for r in records))
 
 
 def load_records(path) -> list:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import InvalidOp, ParseError
-from .jsonio import field, from_fields, loads_object, read_text
+from .jsonio import field, from_fields, loads_object, read_text, write_text
 
 
 class OpKind(str, Enum):
@@ -205,7 +205,8 @@ class Kind:
     out_shape)` counts multiply-accumulates (elementwise work one per output
     element). `dsp_bound(op)`: the accelerator offloads it to its slow DSP.
     `tiled`: it computes on the device's channel tiles. `conv_family`: lint
-    VPU002 checks its width (Linear is tiled but not in the family).
+    VPU002 checks its width (Linear is tiled but not in the family). `free`:
+    it compiles away, so it costs 0 ms on every device.
     """
 
     fields: frozenset = frozenset()
@@ -218,6 +219,7 @@ class Kind:
     dsp_bound: Callable = lambda op: False
     tiled: bool = False
     conv_family: bool = False
+    free: bool = False
 
 
 _WINDOW = frozenset({"kernel", "stride"})
@@ -238,7 +240,7 @@ KINDS = {
                          macs=lambda op, i, out: op.kernel ** 2 * out.numel),
     OpKind.MaxPool: Kind(_WINDOW, same_channels=True,
                          macs=lambda op, i, out: op.kernel ** 2 * out.numel),
-    OpKind.Identity: Kind(same_channels=True),
+    OpKind.Identity: Kind(same_channels=True, free=True),
     OpKind.ReLU: Kind(same_channels=True, macs=lambda op, i, out: out.numel),
     OpKind.LeakyReLU: Kind(frozenset({"activation_slope"}), same_channels=True,
                            macs=lambda op, i, out: out.numel,
@@ -583,5 +585,4 @@ def load_net(path) -> Net:
 
 
 def save_net(net: Net, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(net))
+    write_text(path, serialize(net))

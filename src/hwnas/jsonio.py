@@ -1,11 +1,12 @@
 """The JSON file format: every hwnas file is read and written through here.
 
 Nets, LUTs, cost models and their profile records, checkpoints, search and
-device configs, arch files and run manifests share these readers. Text that
-is not UTF-8, invalid JSON, a top level that is not an object, a missing or
-wrongly typed field and a malformed array each end in a `ParseError` naming
-the file. A JSON number is an int or a float, never a bool, and must be
-finite as a float.
+device configs, arch files and run manifests share these readers. Every
+file hwnas writes, JSON or not, goes through `write_text`, which makes the
+file's missing folders at write time. Text that is not UTF-8, invalid JSON,
+a top level that is not an object, a missing or wrongly typed field and a
+malformed array each end in a `ParseError` naming the file. A JSON number is
+an int or a float, never a bool, and must be finite as a float.
 
 Every numeric setting passes `check_number`, finite first and then its bound:
 dataclasses declare bounds on their fields (`bounded`, `check_fields`), and
@@ -56,10 +57,17 @@ def read_object(path) -> dict:
     return loads_object(read_text(path), path)
 
 
+def write_text(path, text: str) -> None:
+    """Write `text` as UTF-8, making the missing folders of `path` first."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 def write_object(path, doc, indent=None) -> None:
     """Write `doc` as JSON; an indented file ends in a newline, a compact one does not."""
     text = json.dumps(doc, indent=indent)
-    Path(path).write_text(text + "\n" if indent else text, encoding="utf-8")
+    write_text(path, text + "\n" if indent else text)
 
 
 def _has_type(value, kind) -> bool:

@@ -17,7 +17,7 @@ from .errors import LengthMismatch, MissingEntry, NotNormalized
 from .graph import CompactNet, OperatorSpec, SuperNet, TensorShape, canonical_key, walk
 from .jsonio import check_number, field, from_fields, read_object, write_object
 
-DEFAULT_CLOCK_GHZ = 0.7  # cycles <-> ms conversion when a table comes from a cost model
+DEFAULT_CLOCK_GHZ = 0.7  # the simulated device's clock; cycles <-> ms for a cost-model table
 
 LUT_SOURCES = ("MeasuredDevice", "CostModel", "Manual")
 

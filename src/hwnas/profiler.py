@@ -24,7 +24,7 @@ from .errors import DeviceError, NotStackable
 from .graph import (KINDS, CompactNet, OperatorSpec, OpKind, SuperNet, Task, TensorShape,
                     canonical_key, output_shape, save_net, validate, walk)
 from .jsonio import bounded, check_fields, check_number
-from .latency import LatencyTable, compact_latency, mape_percent
+from .latency import DEFAULT_CLOCK_GHZ, LatencyTable, compact_latency, mape_percent
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +43,7 @@ class SimulatedVPU:
     DSP-bound operators so searches can discover those rules end to end.
     """
 
-    clock_ghz: float = bounded("> 0", 0.7)
+    clock_ghz: float = bounded("> 0", DEFAULT_CLOCK_GHZ)
     macs_per_cycle: float = bounded("> 0", 256.0)
     graph_overhead_ms: float = bounded(">= 0", 0.2)
     dma_ms_per_mb: float = bounded(">= 0", 0.01)
@@ -62,9 +62,9 @@ class SimulatedVPU:
 
     def op_cost_ms(self, op: OperatorSpec, in_shape: TensorShape) -> float:
         """Closed-form noiseless cost of one layer (no graph overhead)."""
-        if op.kind is OpKind.Identity:
-            return 0.0
         rule = KINDS[op.kind]
+        if rule.free:
+            return 0.0
         out = output_shape(op, in_shape)
         macs = rule.macs(op, in_shape, out)
         util = 1.0
@@ -122,8 +122,9 @@ class ExternalCommandRunner:
                                       text=True, timeout=self.timeout_s)
             except subprocess.TimeoutExpired:
                 raise DeviceError(f"device command timed out after {self.timeout_s}s")
-        if proc.returncode != 0:
-            raise DeviceError(f"device command exited {proc.returncode}: {proc.stderr.strip()}")
+        if proc.returncode != 0:  # quote the last stderr line: a traceback's error
+            last = proc.stderr.strip().rpartition("\n")[2].strip()
+            raise DeviceError(f"device command exited {proc.returncode}: {last[:200]}")
         lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
         try:
             samples = [float(ln) for ln in lines]
@@ -188,7 +189,7 @@ def build_lut(device, supernet: SuperNet, n: int = DEFAULT_STACK_N,
 
     Shape-preserving ops self-stack; shape-changing ops are measured against a
     pointwise-conv anchor at their output shape (anchor measured first, one
-    measurement per distinct shape). Identity entries are 0 by definition.
+    measurement per distinct shape). A free kind's entries are 0 by definition.
     On a device failure the partial table is attached to the raised
     DeviceError as `error.partial` with the incomplete flag set.
     """
@@ -197,9 +198,10 @@ def build_lut(device, supernet: SuperNet, n: int = DEFAULT_STACK_N,
         raise DeviceError(f"refusing to profile invalid supernet: {report.findings[0]}")
     entries = {}
     anchors = {}  # output shape -> (anchor op, measured ms)
+    failure = None
     try:
         for key, op, shape in enumerate_search_space(supernet):
-            if op.kind is OpKind.Identity:
+            if KINDS[op.kind].free:
                 entries[key] = 0.0
             elif output_shape(op, shape) == shape:
                 entries[key] = measure_stacked_same(device, op, shape, n, trials)
@@ -212,21 +214,15 @@ def build_lut(device, supernet: SuperNet, n: int = DEFAULT_STACK_N,
                 entries[key] = measure_stacked_mixed(device, op, anchor, anchor_ms,
                                                      shape, n, trials)
     except DeviceError as e:
-        e.partial = LatencyTable(entries=entries, source="MeasuredDevice",
-                                 device=getattr(device, "name", "unknown"),
-                                 created=_now(), incomplete=True)
-        raise
-    return LatencyTable(entries=entries, source="MeasuredDevice",
-                        device=getattr(device, "name", "unknown"), created=_now())
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
-def sample_compact(supernet: SuperNet, rng: np.random.Generator) -> CompactNet:
-    """Uniform-random compact network from the search space."""
-    return supernet.path([int(rng.integers(len(st.candidates))) for st in supernet.stages])
+        failure = e
+    lut = LatencyTable(entries=entries, source="MeasuredDevice",
+                       device=getattr(device, "name", "unknown"),
+                       created=datetime.now(timezone.utc).isoformat(),
+                       incomplete=failure is not None)
+    if failure is not None:
+        failure.partial = lut
+        raise failure
+    return lut
 
 
 def calibrate(device, supernet: SuperNet, lut: LatencyTable, num_samples: int,
@@ -242,7 +238,7 @@ def calibrate(device, supernet: SuperNet, lut: LatencyTable, num_samples: int,
     pairs = []
     try:
         for _ in range(num_samples):
-            net = sample_compact(supernet, rng)
+            net = supernet.path([int(rng.integers(len(st.candidates))) for st in supernet.stages])
             pairs.append((compact_latency(net, lut),
                           statistics.median(device.run(net, trials))))
     except DeviceError as e:

@@ -568,6 +568,17 @@ def test_argument_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_costmodel_train_refuses_to_save_records_it_was_given(tmp_path, capsys):
+    """--save-records writes simulated records; with --records it would write nothing."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("costmodel", "train", "--records", str(tmp_path / "r.records.jsonl"),
+                "--save-records", str(tmp_path / "s.records.jsonl"),
+                "--out", str(tmp_path / "m.json"))
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_subcommand_exit_2():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")
@@ -793,6 +804,78 @@ def test_calibrate_appends_its_suffixes_to_a_dotted_prefix(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == [
         "cal.v2.csv", "cal.v2.json", "cal.v3.csv", "cal.v3.json", "cal.v4.partial.csv",
         "run_manifest.json"]
+
+
+def test_device_traceback_is_quoted_by_its_last_line(tmp_path):
+    """A device script that prints a traceback and exits 3 gives one `error:` line."""
+    script = tmp_path / "dev.py"
+    script.write_text(
+        "import sys, traceback\n"
+        "try:\n"
+        "    raise RuntimeError('sensor offline')\n"
+        "except RuntimeError:\n"
+        "    traceback.print_exc()\n"
+        "    sys.exit(3)\n")
+    dev = tmp_path / "dev.json"
+    dev.write_text(json.dumps({"type": "command", "command_template":
+                               f"{sys.executable} {script} {{graph}} {{trials}}"}))
+    out = tmp_path / "toy.lut.json"
+    proc = run_module("lut", "build", "--net", "toy-classification", "--device", str(dev),
+                      "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    partial = tmp_path / "toy.partial.lut.json"
+    assert proc.stderr.splitlines() == [
+        "error: device command exited 3: RuntimeError: sensor offline; the 0 entries "
+        f"measured so far are saved in {partial}"]
+    assert load_lut(partial).incomplete and not out.exists()
+
+
+def test_device_error_line_is_cut_to_200_characters(tmp_path):
+    dev = _echo_device(tmp_path, "import sys\nsys.exit('first\\n\\n' + 'x' * 300 + '  \\n')\n")
+    net = CompactNet(task=Task.Classification, input_shape=TensorShape(3, 4, 4),
+                     layers=(OperatorSpec(OpKind.Identity, 3, 3),), num_classes=2)
+    with pytest.raises(DeviceError) as exc:
+        dev.run(net, 1)
+    assert str(exc.value) == "device command exited 1: " + "x" * 200
+
+
+# ---------------------------------------------------------------------------
+# output into folders that do not exist yet
+# ---------------------------------------------------------------------------
+
+# Each command's outputs, into folders that do not exist until the command writes them.
+NEW_FOLDER_OUTPUTS = {
+    "lut build": (["lut", "build", "--net", "toy-classification", "--out", "{tmp}/a/t.lut.json"],
+                  ["a/run_manifest.json", "a/t.lut.json"]),
+    "costmodel train": (["costmodel", "train", "--simulate", "60", "--epochs", "5",
+                         "--save-records", "{tmp}/b/r.records.jsonl", "--out", "{tmp}/a/m.json"],
+                        ["a/m.json", "a/run_manifest.json", "b/r.records.jsonl"]),
+    "train-compact": (["train-compact", "--net", "{tmp}/c.net.json", "--steps", "2",
+                       "--data-samples", "16", "--out", "{tmp}/a/b/w.ckpt.json"],
+                      ["a/b/run_manifest.json", "a/b/w.ckpt.json"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEW_FOLDER_OUTPUTS))
+def test_outputs_go_into_folders_made_when_written(command, tmp_path):
+    argv, written = NEW_FOLDER_OUTPUTS[command]
+    save_net(toy_classification_supernet().path([0, 0, 0]), tmp_path / "c.net.json")
+    assert run_cli(*[a.format(tmp=tmp_path) for a in argv]) == 0
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                  if p.is_file()) == sorted(written + ["c.net.json"])
+
+
+def test_failed_profile_keeps_its_partial_table_in_a_folder_made_for_it(tmp_path, capsys):
+    out = tmp_path / "gone" / "x.lut.json"
+    assert run_cli("lut", "build", "--net", "toy-classification",
+                   "--device", str(_counting_device(tmp_path, 4)), "--out", str(out),
+                   "--trials", "1") == 1
+    partial = tmp_path / "gone" / "x.partial.lut.json"
+    err = capsys.readouterr().err
+    assert err.startswith("error: device command exited 1: device lost")
+    assert f"the 2 entries measured so far are saved in {partial}" in err
+    assert [p.name for p in out.parent.iterdir()] == ["x.partial.lut.json"]
+    assert load_lut(partial).incomplete
 
 
 # ---------------------------------------------------------------------------

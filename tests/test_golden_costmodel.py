@@ -1,5 +1,6 @@
 """Golden outputs of cost-model training: sha256 of the model file, of the
-`--json` summary and of the loss curves for fixed-seed `costmodel train` runs.
+`--json` summary and of the loss curves for fixed-seed `costmodel train` runs,
+and of the LUT one of those models predicts.
 
 The trainer must do the same float operations on the same operands in the
 same order, so any change to initialisation, the forward or backward pass,
@@ -33,6 +34,13 @@ GOLDEN = {
 # `costmodel eval --json` stdout: the 100-epoch model on 80 other records
 GOLDEN_EVAL = "708673097e66518c22aa75683a81878d7c90162e39e4094072cd14a0171d51c3"
 
+# `lut from-model` file bytes: the 100-epoch model predicting each space
+# (toy-classification holds an Identity, which costs 0 ms without the model)
+GOLDEN_LUT_FROM_MODEL = {
+    "toy-sr": "621cb0a3faaeba141bdceda7e79297ba8ffd279ecccc4589789b832f612c4d87",
+    "toy-classification": "a76e627e116bd4e11ce8d0154e017fa76834da7fa8d281b709550a10adb741d0",
+}
+
 # repr of (train_losses, val_losses) of the kept restart, 250 epochs
 GOLDEN_CURVES = "9a16db5312304cfb673e243522e0d5f04739cc9351374dc9bd8d2327adc4628d"
 
@@ -59,6 +67,15 @@ def test_costmodel_eval_golden(tmp_path, capsys):
     assert main(["--json", "costmodel", "eval", "--model", str(model),
                  "--records", str(records)]) == 0
     assert _sha(capsys.readouterr().out.encode()) == GOLDEN_EVAL
+
+
+@pytest.mark.parametrize("net", sorted(GOLDEN_LUT_FROM_MODEL))
+def test_lut_from_model_golden(net, tmp_path):
+    model, lut = tmp_path / "cost.model.json", tmp_path / "predicted.lut.json"
+    assert main(["costmodel", "train", *ARGS, "--epochs", "100", "--out", str(model)]) == 0
+    assert main(["lut", "from-model", "--net", net, "--model", str(model),
+                 "--out", str(lut)]) == 0
+    assert _sha(lut.read_bytes()) == GOLDEN_LUT_FROM_MODEL[net]
 
 
 def test_costmodel_loss_curves_golden():
