@@ -197,16 +197,26 @@ def _partial_lut_path(out) -> Path:
     return out.with_name(stem + ".partial.lut.json")
 
 
+def _keep_partial(error: DeviceError, what: str, path, save) -> DeviceError:
+    """The error that ends a failed device run once `save(path)` has tried to keep
+    the `what` it measured: the device's failure first, then the save's outcome."""
+    try:
+        save(path)
+    except (HwnasError, OSError) as e:
+        return DeviceError(f"{error}; the {what} measured so far could not be saved "
+                           f"in {path}: {e}")
+    return DeviceError(f"{error}; the {what} measured so far are saved in {path}")
+
+
 def cmd_lut_build(args):
     net = _load_net(args.net, SuperNet)
     device = _load_device(args.device)
     try:
         lut = profiler.build_lut(device, net, n=args.stack_n, trials=args.trials)
     except DeviceError as e:
-        path = _partial_lut_path(args.out)
-        save_lut(e.partial, path)
-        raise DeviceError(f"{e}; the {len(e.partial.entries)} entries measured so far "
-                          f"are saved in {path}") from e
+        raise _keep_partial(e, f"{len(e.partial.entries)} entries",
+                            _partial_lut_path(args.out),
+                            lambda path: save_lut(e.partial, path)) from e
     save_lut(lut, args.out)
     return _finish(args, Path(args.out).parent, "lut build", getattr(device, "seed", None),
                    {"lut": args.out}, {"entries": len(lut.entries), "out": args.out})
@@ -354,10 +364,8 @@ def cmd_calibrate(args):
         pairs, summary = profiler.calibrate(device, net, lut, num_samples=args.samples,
                                             seed=args.seed, trials=args.trials)
     except DeviceError as e:
-        path = Path(f"{prefix}.partial.csv")
-        _write_calibration_csv(path, e.partial)
-        raise DeviceError(f"{e}; the {len(e.partial)} networks measured so far "
-                          f"are saved in {path}") from e
+        raise _keep_partial(e, f"{len(e.partial)} networks", Path(f"{prefix}.partial.csv"),
+                            lambda path: _write_calibration_csv(path, e.partial)) from e
     csv_path = Path(f"{prefix}.csv")
     _write_calibration_csv(csv_path, pairs)
     json_path = Path(f"{prefix}.json")

@@ -3,7 +3,8 @@
 Classification images are class-dependent oriented sinusoid patterns plus
 seeded noise; super-resolution pairs are synthetic textures with an exact
 2x box-filter downsampling. Generation is bitwise-reproducible per seed and
-splits are balanced 70/15/15.
+splits are balanced 70/15/15; each split's inputs and targets are arrays of
+their own, not views into one shuffled copy of the whole set.
 """
 
 from __future__ import annotations
@@ -50,15 +51,14 @@ class Dataset:
 
 
 def _split_703015(x, y, rng):
+    """Shuffle into 70/15/15 parts, each gathered into arrays of its own, so a
+    caller that keeps one part does not keep the whole set alive."""
     n = x.shape[0]
     order = rng.permutation(n)
-    x, y = x[order], y[order]
     n_train = int(n * 0.70)
     n_val = int(n * 0.15)
-    return Dataset(
-        train=(x[:n_train], y[:n_train]),
-        val=(x[n_train:n_train + n_val], y[n_train:n_train + n_val]),
-        test=(x[n_train + n_val:], y[n_train + n_val:]))
+    train, val, test = np.split(order, [n_train, n_train + n_val])
+    return Dataset(train=(x[train], y[train]), val=(x[val], y[val]), test=(x[test], y[test]))
 
 
 def generate_classification_dataset(spec: DatasetSpec) -> Dataset:

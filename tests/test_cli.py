@@ -878,6 +878,34 @@ def test_failed_profile_keeps_its_partial_table_in_a_folder_made_for_it(tmp_path
     assert load_lut(partial).incomplete
 
 
+def _failed_save_error(err: str, what: str, path: Path) -> None:
+    """One line: the device's failure first, then the save that failed."""
+    assert err.startswith(f"error: device command exited 1: device lost; the {what} measured "
+                          f"so far could not be saved in {path}: [Errno 17] File exists")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_lut_build_names_the_device_failure_when_its_partial_save_fails(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "t.lut.json"
+    assert run_cli("lut", "build", "--net", "toy-classification",
+                   "--device", str(_counting_device(tmp_path, 4)), "--out", str(out),
+                   "--trials", "1") == 1
+    _failed_save_error(capsys.readouterr().err, "2 entries",
+                       tmp_path / "afile" / "t.partial.lut.json")
+
+
+def test_calibrate_names_the_device_failure_when_its_partial_save_fails(tmp_path, capsys):
+    lut = tmp_path / "toy.lut.json"
+    assert run_cli("lut", "build", "--net", "toy-classification", "--out", str(lut)) == 0
+    (tmp_path / "afile").write_text("")
+    assert run_cli("calibrate", "--net", "toy-classification", "--lut", str(lut),
+                   "--device", str(_counting_device(tmp_path, 3)), "--samples", "5",
+                   "--trials", "1", "--out-prefix", str(tmp_path / "afile" / "c")) == 1
+    _failed_save_error(capsys.readouterr().err, "2 networks",
+                       tmp_path / "afile" / "c.partial.csv")
+
+
 # ---------------------------------------------------------------------------
 # full small pipeline
 # ---------------------------------------------------------------------------

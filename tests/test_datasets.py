@@ -140,3 +140,14 @@ def test_generated_bytes_are_pinned():
     fixed seed: a change to how samples are drawn or stored shows here."""
     assert _digest(generate_classification_dataset(_cls_spec())) == CLS_SHA256
     assert _digest(generate_sr_dataset(_sr_spec())) == SR_SHA256
+
+
+@pytest.mark.parametrize("generate, spec", [
+    (generate_classification_dataset, _cls_spec), (generate_sr_dataset, _sr_spec)])
+def test_each_split_owns_its_memory(generate, spec):
+    """A split is not a view into one shuffled copy of the whole set, so a
+    caller that keeps only the test split keeps only the test split's bytes."""
+    ds = generate(spec())
+    for name in ("train", "val", "test"):
+        for a in getattr(ds, name):
+            assert a.base is None, name
