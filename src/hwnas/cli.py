@@ -119,6 +119,13 @@ def _make_dataset(net, args) -> datasets.Dataset:
     return datasets.generate_sr_dataset(spec)
 
 
+def _splits(net, args, *names) -> list:
+    """The named splits of _make_dataset(net, args). Each split owns its
+    arrays, so the splits a command does not read are freed here."""
+    ds = _make_dataset(net, args)
+    return [getattr(ds, name) for name in names]
+
+
 _NET_KINDS = {SuperNet: "supernet", CompactNet: "compact network"}
 
 
@@ -270,8 +277,8 @@ def cmd_search_run(args):
         if getattr(args, f.name) is not None:
             settings[f.name] = getattr(args, f.name)
     cfg = from_fields(search.SearchConfig, settings, args.config or "search run")
-    ds = _make_dataset(net, args)
-    alphas, rounds = search.train_search(net, ds.train, ds.val, cfg, lut)
+    train, val = _splits(net, args, "train", "val")
+    alphas, rounds = search.train_search(net, train, val, cfg, lut)
 
     out_dir = Path(args.out_dir)
     hist_path = out_dir / "history.csv"
@@ -301,8 +308,8 @@ def cmd_derive(args):
 
 def cmd_train_compact(args):
     net = _load_net(args.net, CompactNet)
-    ds = _make_dataset(net, args)
-    model = search.train_compact(net, ds.train, steps=args.steps,
+    (train,) = _splits(net, args, "train")
+    model = search.train_compact(net, train, steps=args.steps,
                                  batch_size=args.batch_size, lr=args.lr,
                                  weight_decay=args.weight_decay, seed=args.seed)
     save_checkpoint(model.named_parameters(), args.out)
@@ -314,12 +321,12 @@ def cmd_eval(args):
     net = _load_net(args.net, CompactNet)
     model = search.CompactNetModel(net, seed=args.seed)
     load_checkpoint(model.named_parameters(), args.checkpoint)
-    ds = _make_dataset(net, args)
+    (test,) = _splits(net, args, "test")
     metrics = {}
     if net.task is Task.Classification:
-        metrics["test_accuracy"] = search.accuracy(model, ds.test)
+        metrics["test_accuracy"] = search.accuracy(model, test)
     else:
-        x, y = ds.test
+        x, y = test
         pred = model.forward(x)
         res = datasets.psnr(pred, y, peak=1.0)
         metrics["test_psnr_db"] = res.db

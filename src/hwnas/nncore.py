@@ -33,9 +33,14 @@ tiles of whole samples: the fewest near-equal tiles whose per-sample buffers
 fit the budget. Its weight gradient stays one contraction over B*Ho*Wo,
 since a contraction split into partial sums sums in another order; it
 gathers the window operand in blocks of input channels instead, and fills
-dw's columns one block at a time. A projecting upsampler resamples,
-projects and takes its input gradient over sample tiles too, and keeps the
-resampled map whole for its weight gradient. A batch whose buffers fit is
+dw's columns one block at a time. A projecting resampler keeps its input,
+not its resampled map, from forward to backward. A nearest one projects at
+input resolution and repeats the result, where that is bitwise (see
+_at_input_resolution); otherwise it, like a bilinear one, resamples and
+projects over sample tiles. Its input gradient runs over sample tiles too.
+Only a weight step builds the resampled map again, whole and
+channel-major, so that einsum's weight-gradient product reads it as a view,
+and frees it before the input gradient. A batch whose buffers fit is
 one tile and one block and makes the calls it made before tiling: every
 toy-classification shape does. A DWConv is never split. A split keeps the
 bits of the whole product only where OpenBLAS computes each piece with the
@@ -61,6 +66,7 @@ pixel wide or one pixel high, which no built-in space reaches:
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -80,6 +86,11 @@ TILE_BYTES = 6 << 20
 # computes a product of fewer than about 10^6 with a small-matrix kernel,
 # which sums a long contraction in another order than the whole product's.
 _SPLIT_MACS = 1 << 20
+# The most terms a contraction may have for OpenBLAS to sum it in the same
+# order in a product of any size: from 32 terms on, a product under the
+# small-matrix size can differ from a larger one in the last bit (measured
+# with OpenBLAS 0.3.31's AVX-512 kernels).
+_SHORT_SUM = 31
 
 
 class Parameter:
@@ -120,8 +131,7 @@ def _joined(f, tiles, order):
     first = f(tiles[0])
     if len(tiles) == 1:
         return first
-    shape = (tiles[-1].stop,) + first.shape[1:]
-    out = np.empty([shape[a] for a in order]).transpose(np.argsort(order))
+    out = _laid_out((tiles[-1].stop,) + first.shape[1:], order)
     out[tiles[0]] = first
     del first
     for s in tiles[1:]:
@@ -129,20 +139,48 @@ def _joined(f, tiles, order):
     return out
 
 
-def _einsum_order(subscripts, *operands):
+def _laid_out(shape, order):
+    """An empty array of `shape` whose axes lie in memory in `order`,
+    outermost first."""
+    return np.empty([shape[a] for a in order]).transpose(np.argsort(order))
+
+
+@functools.cache
+def _einsum_order(subscripts, *shapes):
     """The memory order, outermost axis first, of the result of
-    np.einsum(subscripts, *operands, optimize=True), without computing it.
+    np.einsum(subscripts, *operands, optimize=True) on operands of these
+    shapes, without computing it.
 
     Its last step is one pairwise product, whose result holds the kept axes
     of its left operand, then those of its right one. Which operands those
     are, and the axis order of an intermediate, numpy's einsum_path decides
-    from the operand sizes (einsum_call=True returns the steps np.einsum
-    runs): a three-operand chain's layout changes with the batch size, so
-    the whole batch's layout is not a tile's.
+    from the operand shapes alone (einsum_call=True returns the steps
+    np.einsum runs), so the order is worked out once per shape: a
+    three-operand chain's layout changes with the batch size, so the whole
+    batch's layout is not a tile's.
     """
-    _, steps = np.einsum_path(subscripts, *operands, optimize=True, einsum_call=True)
+    _, steps = np.einsum_path(subscripts, *_shaped(shapes), optimize=True, einsum_call=True)
     inputs, output = steps[-1][1].split("->")
-    return [output.index(a) for a in inputs.replace(",", "") if a in output]
+    return tuple(output.index(a) for a in inputs.replace(",", "") if a in output)
+
+
+def _shaped(shapes):
+    """Zero-stride operands of these shapes, for numpy's path search, which
+    reads shapes alone."""
+    return [np.broadcast_to(0.0, s) for s in shapes]
+
+
+@functools.cache
+def _einsum_path(subscripts, *shapes):
+    return np.einsum_path(subscripts, *_shaped(shapes), optimize=True)[0]
+
+
+def _einsum(subscripts, *operands):
+    """np.einsum(subscripts, *operands, optimize=True), on the contraction
+    path that numpy's search picks for these shapes, searched once per shape:
+    the same steps, so the same bytes."""
+    return np.einsum(subscripts, *operands,
+                     optimize=_einsum_path(subscripts, *(o.shape for o in operands)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +325,10 @@ def _scatter_windows(window_grad, out, k, stride):
     return out
 
 
+@functools.cache
 def _bilinear_matrix(out_size, in_size, scale):
-    """Dense interpolation matrix for half-pixel bilinear resampling."""
+    """Dense interpolation matrix for half-pixel bilinear resampling, built
+    once per size and read-only."""
     m = np.zeros((out_size, in_size))
     for o in range(out_size):
         src = (o + 0.5) / scale - 0.5
@@ -298,6 +338,7 @@ def _bilinear_matrix(out_size, in_size, scale):
         i1c = min(max(i0 + 1, 0), in_size - 1)
         m[o, i0c] += 1.0 - w1
         m[o, i1c] += w1
+    m.flags.writeable = False
     return m
 
 
@@ -509,75 +550,138 @@ def _upsample_tiles(m, up_shape):
     a tile's resampled map and the projection's copy of it, 2*C*rH*rW
     doubles a sample, fit in TILE_BYTES, and its smallest product,
     C*rH*rW*min(O, H, W) multiply-adds a sample, gets _SPLIT_MACS. Its
-    products split their rows, not their columns. A resampler without a
-    projection is one tile."""
+    products split their rows, not their columns."""
     n, c, hh, ww = up_shape
-    if "weight" not in m.params:
-        return [slice(0, n)]
     r, big = m.spec.scale_factor, c * hh * ww
     macs = big * min(m.spec.out_channels, hh // r, ww // r)
     return _runs(n, max(1, TILE_BYTES // (2 * big * 8)), -(-_SPLIT_MACS // macs))
 
 
-def _project(m, up, extra=()):
-    """Optional channel projection after resampling, tile by tile; (out, cache)."""
-    if "weight" not in m.params:
-        return up, (up.shape,) + extra
-    w, b = m.params["weight"].value, m.params["bias"].value
-    out = _joined(lambda s: np.einsum("oc,bchw->bohw", w, up[s], optimize=True)
-                  + b[None, :, None, None],
-                  _upsample_tiles(m, up.shape), _einsum_order("oc,bchw->bohw", w, up))
-    return out, (up.shape, up) + extra
+def _scaled(shape, r):
+    """The shape of [B,C,H,W] maps resampled by r."""
+    return shape[:2] + (shape[2] * r, shape[3] * r)
 
-def _unproject(m, g, cache, input_grad, param_grads, unsample, order):
+
+def _repeat(x, r, out):
+    """out, whose [..., rH, rW] maps hold each value of the [..., H, W] maps
+    of x in its r x r block of pixels: nearest resampling by r."""
+    *lead, h, w = x.shape
+    out.reshape(*lead, h, r, w, r, copy=False)[...] = x[..., :, None, :, None]
+    return out
+
+
+def _unproject(m, g, cache, input_grad, param_grads, channel_major, unsample, order):
     """Backward of the optional projection, then of the resampling: the input
-    gradient is unsample(the resampled map's gradient). With a projection it
-    runs tile by tile, joined in order(weight), the memory order of the
-    whole-batch input gradient."""
-    if "weight" not in m.params:
+    gradient is unsample(the resampled map's gradient).
+
+    A projecting resampler keeps its input x, not the resampled map. A weight
+    step rebuilds the map as channel_major(x), [C, B, rH, rW] and
+    C-contiguous, for the weight gradient alone, and frees it before the
+    input gradient, which runs tile by tile, joined in order(weight shape),
+    the memory order of the whole-batch input gradient."""
+    x_shape, x = cache
+    if x is None:
         return unsample(g) if input_grad else None
     w = m.params["weight"].value
     if param_grads:
-        # one contraction over the whole batch and the cached resampled map
-        m.params["weight"].grad += np.einsum("bohw,bchw->oc", g, cache[1], optimize=True)
+        # einsum("bohw,bchw->oc", g, up) multiplies the map, copied into
+        # [C, B*rH*rW], by a [B*rH*rW, O] copy of g. On the channel-major map
+        # it makes the same product on the same operands, the map's a view.
+        m.params["weight"].grad += np.einsum("bohw,cbhw->oc", g, channel_major(x),
+                                             optimize=True)
         m.params["bias"].grad += g.sum(axis=(0, 2, 3))
     if not input_grad:
         return None
     return _joined(lambda s: unsample(np.einsum("oc,bohw->bchw", w, g[s], optimize=True)),
-                   _upsample_tiles(m, cache[0]), order(w))
+                   _upsample_tiles(m, x_shape[:2] + g.shape[2:]), order(w.shape))
+
+
+def _at_input_resolution(w_shape, x_shape):
+    """Whether a nearest resampler's [O, C] projection of [B,C,H,W] maps runs
+    before the repeat. Repeating commutes with a 1x1 projection: every output
+    value is the same sum over the channels, at r*r times fewer multiply-adds.
+    It stays bitwise where einsum's product at input resolution is a matrix
+    product of the same kind as on the repeated map, whose kernel sums it in
+    the same order: more than one input channel and output channel and input
+    pixel, and at most _SHORT_SUM channels, since a product r*r times smaller
+    may fall under the small-matrix size where the whole map's does not."""
+    (o, c), pixels = w_shape, x_shape[0] * x_shape[2] * x_shape[3]
+    return 1 < c <= _SHORT_SUM and o > 1 and pixels > 1
 
 
 def _nearest(m, x):
     r = m.spec.scale_factor
-    return _project(m, x.repeat(r, axis=2).repeat(r, axis=3))
+    up_shape = _scaled(x.shape, r)
+    if "weight" not in m.params:
+        return _repeat(x, r, np.empty(up_shape)), (x.shape, None)
+    w, b = m.params["weight"].value, m.params["bias"].value
+
+    def project(t):
+        return np.einsum("oc,bchw->bohw", w, t, optimize=True) + b[None, :, None, None]
+    order = _einsum_order("oc,bchw->bohw", w.shape, up_shape)
+    if _at_input_resolution(w.shape, x.shape):
+        # written into the r x r blocks of an output laid out as the
+        # projection of the repeated map
+        out = _repeat(project(x), r, _laid_out((x.shape[0], w.shape[0]) + up_shape[2:], order))
+    else:
+        out = _joined(lambda s: project(_repeat(x[s], r, np.empty(_scaled(x[s].shape, r)))),
+                      _upsample_tiles(m, up_shape), order)
+    return out, (x.shape, x)
 
 def _nearest_backward(m, g, cache, input_grad, param_grads):
     r = m.spec.scale_factor
+
+    def channel_major(x):
+        xt = x.transpose(1, 0, 2, 3)
+        return _repeat(xt, r, np.empty(_scaled(xt.shape, r)))
 
     def unsample(dup):
         b, c, hh, ww = dup.shape
         return dup.reshape(b, c, hh // r, r, ww // r, r).sum(axis=(3, 5))
     # the sum keeps the layout of the projection's input gradient
-    return _unproject(m, g, cache, input_grad, param_grads, unsample,
-                      lambda w: _einsum_order("oc,bohw->bchw", w, g))
+    return _unproject(m, g, cache, input_grad, param_grads, channel_major, unsample,
+                      lambda w: _einsum_order("oc,bohw->bchw", w, g.shape))
+
+
+def _bilinear_matrices(m, shape):
+    """The [rH, H] and [rW, W] interpolation matrices of m on [B,C,H,W] maps."""
+    r = m.spec.scale_factor
+    return (_bilinear_matrix(shape[2] * r, shape[2], r),
+            _bilinear_matrix(shape[3] * r, shape[3], r))
+
+
+def _bilinear_map(mh, x, mw):
+    """The [B,C,rH,rW] bilinear map of the [B,C,H,W] maps x, in einsum's
+    layout."""
+    return _einsum("hH,bcHW,wW->bchw", mh, x, mw)
 
 
 def _bilinear(m, x):
-    r = m.spec.scale_factor
-    mh = _bilinear_matrix(x.shape[2] * r, x.shape[2], r)
-    mw = _bilinear_matrix(x.shape[3] * r, x.shape[3], r)
-    chain = "hH,bcHW,wW->bchw"
-    up = _joined(lambda s: np.einsum(chain, mh, x[s], mw, optimize=True),
-                 _upsample_tiles(m, x.shape[:2] + (mh.shape[0], mw.shape[0])),
-                 _einsum_order(chain, mh, x, mw))
-    return _project(m, up, extra=(mh, mw))
+    mh, mw = _bilinear_matrices(m, x.shape)
+    if "weight" not in m.params:
+        return _bilinear_map(mh, x, mw), (x.shape, None)
+    w, b = m.params["weight"].value, m.params["bias"].value
+    up_shape = _scaled(x.shape, m.spec.scale_factor)
+    # resampled and projected one sample tile at a time
+    out = _joined(lambda s: np.einsum("oc,bchw->bohw", w, _bilinear_map(mh, x[s], mw),
+                                      optimize=True) + b[None, :, None, None],
+                  _upsample_tiles(m, up_shape), _einsum_order("oc,bchw->bohw", w.shape, up_shape))
+    return out, (x.shape, x)
 
 def _bilinear_backward(m, g, cache, input_grad, param_grads):
-    mh, mw = cache[-2], cache[-1]
+    mh, mw = _bilinear_matrices(m, cache[0])
+    up_shape = cache[0][:2] + g.shape[2:]
     chain = "hH,bchw,wW->bcHW"
-    return _unproject(m, g, cache, input_grad, param_grads,
-                      lambda dup: np.einsum(chain, mh, dup, mw, optimize=True),
-                      lambda w: _einsum_order(chain, mh, np.broadcast_to(0.0, cache[0]), mw))
+
+    def channel_major(x):
+        # the forward's map, tile by tile, copied channel-major
+        up = np.empty((up_shape[1], up_shape[0]) + up_shape[2:])
+        for s in _upsample_tiles(m, up_shape):
+            up[:, s] = _bilinear_map(mh, x[s], mw).transpose(1, 0, 2, 3)
+        return up
+    return _unproject(m, g, cache, input_grad, param_grads, channel_major,
+                      lambda dup: _einsum(chain, mh, dup, mw),
+                      lambda w: _einsum_order(chain, mh.shape, up_shape, mw.shape))
 
 
 def _depth_to_space(m, x):
