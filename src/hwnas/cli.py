@@ -343,8 +343,7 @@ def cmd_eval(args):
 
 def cmd_lint(args):
     net = _load_net(args.net)
-    findings = lint.lint_network(net, strict_leaky=args.strict_leaky,
-                                 streaming_threshold_bytes=args.streaming_threshold)
+    findings = lint.lint_network(net, streaming_threshold_bytes=args.streaming_threshold)
     if args.json:
         print(lint.findings_to_json(findings), end="")
     else:
@@ -503,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lint")
     p.add_argument("--net", required=True)
-    p.add_argument("--strict-leaky", action="store_true")
     p.add_argument("--streaming-threshold", type=_number(int, ">= 0"),
                    default=lint.DEFAULT_STREAMING_THRESHOLD_BYTES)
     p.add_argument("--out", help="write findings JSON here")

@@ -47,12 +47,12 @@ class LintFinding:
 
 
 def _op_findings(op: OperatorSpec, index: int, in_shape: TensorShape,
-                 prev_op, strict_leaky: bool, threshold: int, where: tuple) -> list:
+                 prev_op, threshold: int, where: tuple) -> list:
     found = []
     part = {"layers": "", "stages": "stage {1} candidate {2} "}.get(where[0], "{0} ")
     loc = part.format(*where) + f"layer {index}"
 
-    if KINDS[op.kind].dsp_bound(op) or (strict_leaky and op.kind is OpKind.LeakyReLU):
+    if KINDS[op.kind].dsp_bound(op):
         found.append(LintFinding(
             "VPU001", Severity.Warning, index,
             f"{loc}: {op.kind.value} runs on the DSP and stalls the compute engine"))
@@ -74,12 +74,10 @@ def _op_findings(op: OperatorSpec, index: int, in_shape: TensorShape,
     return found
 
 
-def lint_network(net, strict_leaky: bool = False,
-                 streaming_threshold_bytes: int = DEFAULT_STREAMING_THRESHOLD_BYTES) -> list:
+def lint_network(net, streaming_threshold_bytes: int = DEFAULT_STREAMING_THRESHOLD_BYTES) -> list:
     """Findings ordered by layer index then rule id; pure and deterministic.
 
     For a supernet, every candidate of every stage is checked individually.
-    `strict_leaky` widens VPU001 to all LeakyReLU regardless of slope config.
     """
     if not isinstance(net, (CompactNet, SuperNet)):
         raise TypeError(f"cannot lint {type(net).__name__}")
@@ -89,8 +87,7 @@ def lint_network(net, strict_leaky: bool = False,
         # A stage's candidates share one layer index and the op feeding the stage.
         if where[:2] != position:
             index, position, prev = index + 1, where[:2], last
-        findings += _op_findings(op, index, shape, prev, strict_leaky,
-                                 streaming_threshold_bytes, where)
+        findings += _op_findings(op, index, shape, prev, streaming_threshold_bytes, where)
         # pairing across a mixed stage is candidate-dependent
         last = None if where[0] == "stages" else op
     return sorted(findings, key=lambda f: (f.layer_index, f.rule_id))

@@ -33,21 +33,19 @@ tiles of whole samples: the fewest near-equal tiles whose per-sample buffers
 fit the budget. Its weight gradient stays one contraction over B*Ho*Wo,
 since a contraction split into partial sums sums in another order; it
 gathers the window operand in blocks of input channels instead, and fills
-dw's columns one block at a time. A projecting resampler keeps its input,
-not its resampled map, from forward to backward. A nearest one projects at
-input resolution and repeats the result, where that is bitwise (see
-_at_input_resolution); otherwise it, like a bilinear one, resamples and
-projects over sample tiles. Its input gradient runs over sample tiles too.
-Only a weight step builds the resampled map again, whole and
-channel-major, so that einsum's weight-gradient product reads it as a view,
-and frees it before the input gradient. A batch whose buffers fit is
-one tile and one block and makes the calls it made before tiling: every
-toy-classification shape does. A DWConv is never split. A split keeps the
-bits of the whole product only where OpenBLAS computes each piece with the
-whole product's kernel, so each piece gets 2^20 multiply-adds, and a piece
-of a product's columns spans a multiple of 8 of them or very few (see the
-tile helpers); and tiles are joined in the memory layout of the whole
-batch's result.
+dw's columns one block at a time. A projecting resampler, nearest or
+bilinear, keeps its input, not its resampled map, from forward to backward:
+it resamples and projects over sample tiles, and its input gradient runs
+over sample tiles too. Only a weight step builds the resampled map again,
+tile by tile into one channel-major array, so that einsum's weight-gradient
+product reads it as a view, and frees it before the input gradient. A
+batch whose buffers fit is one tile and one block and makes the calls it
+made before tiling: every toy-classification shape does. A DWConv is never
+split. A split keeps the bits of the whole product only where OpenBLAS
+computes each piece with the whole product's kernel, so each piece gets
+2^20 multiply-adds, and a piece of a product's columns spans a multiple of
+8 of them or very few (see the tile helpers); and tiles are joined in the
+memory layout of the whole batch's result.
 
 Every value a kernel computes, and the memory layout of its output and input
 gradient, is bitwise equal to the plain einsum formulation (sliding windows,
@@ -86,11 +84,6 @@ TILE_BYTES = 6 << 20
 # computes a product of fewer than about 10^6 with a small-matrix kernel,
 # which sums a long contraction in another order than the whole product's.
 _SPLIT_MACS = 1 << 20
-# The most terms a contraction may have for OpenBLAS to sum it in the same
-# order in a product of any size: from 32 terms on, a product under the
-# small-matrix size can differ from a larger one in the last bit (measured
-# with OpenBLAS 0.3.31's AVX-512 kernels).
-_SHORT_SUM = 31
 
 
 class Parameter:
@@ -145,23 +138,41 @@ def _laid_out(shape, order):
     return np.empty([shape[a] for a in order]).transpose(np.argsort(order))
 
 
+def _order_of(a):
+    """The memory order of a, outermost axis first, as _laid_out takes it.
+    numpy lays a new array out from its innermost axis, so a size-1 axis
+    shares its stride with the next axis out."""
+    return tuple(sorted(range(a.ndim), key=lambda i: (-a.strides[i], a.shape[i] == 1)))
+
+
 @functools.cache
 def _einsum_order(subscripts, *shapes):
     """The memory order, outermost axis first, of the result of
     np.einsum(subscripts, *operands, optimize=True) on operands of these
     shapes, without computing it.
 
-    Its last step is one pairwise product, whose result holds the kept axes
-    of its left operand, then those of its right one. Which operands those
-    are, and the axis order of an intermediate, numpy's einsum_path decides
-    from the operand shapes alone (einsum_call=True returns the steps
-    np.einsum runs), so the order is worked out once per shape: a
-    three-operand chain's layout changes with the batch size, so the whole
-    batch's layout is not a tile's.
+    Its last step is one pairwise product, which numpy makes a matmul over
+    its operands' axes longer than 1. The result holds its size-1 axes
+    outermost, then the kept axes both operands hold, then the other kept
+    axes of the left operand, then those of the right one. Where no axis
+    longer than 1 is summed, the product is a broadcast multiply, whose
+    result is C-ordered. Which operands those are, and the axis order of an
+    intermediate, numpy's einsum_path decides from the operand shapes alone
+    (einsum_call=True returns the steps np.einsum runs), so the order is
+    worked out once per shape: a three-operand chain's layout changes with
+    the batch size, and any product's with which of its axes have size 1, so
+    the whole batch's layout is not a tile's.
     """
     _, steps = np.einsum_path(subscripts, *_shaped(shapes), optimize=True, einsum_call=True)
+    size = {a: n for term, shape in zip(subscripts.split("->")[0].split(","), shapes)
+            for a, n in zip(term, shape)}
     inputs, output = steps[-1][1].split("->")
-    return tuple(output.index(a) for a in inputs.replace(",", "") if a in output)
+    left, right = ([a for a in term if size[a] > 1] for term in inputs.split(","))
+    if not any(a in right and a not in output for a in left):
+        return tuple(range(len(output)))
+    kept = ([a for a in output if size[a] == 1] + [a for a in left if a in right and a in output]
+            + [a for a in left if a not in right] + [a for a in right if a not in left])
+    return tuple(output.index(a) for a in kept if a in output)
 
 
 def _shaped(shapes):
@@ -175,11 +186,11 @@ def _einsum_path(subscripts, *shapes):
     return np.einsum_path(subscripts, *_shaped(shapes), optimize=True)[0]
 
 
-def _einsum(subscripts, *operands):
-    """np.einsum(subscripts, *operands, optimize=True), on the contraction
-    path that numpy's search picks for these shapes, searched once per shape:
-    the same steps, so the same bytes."""
-    return np.einsum(subscripts, *operands,
+def _einsum(subscripts, *operands, out=None):
+    """np.einsum(subscripts, *operands, optimize=True, out=out), on the
+    contraction path that numpy's search picks for these shapes, searched
+    once per shape: the same steps, so the same bytes."""
+    return np.einsum(subscripts, *operands, out=out,
                      optimize=_einsum_path(subscripts, *(o.shape for o in operands)))
 
 
@@ -562,126 +573,98 @@ def _scaled(shape, r):
     return shape[:2] + (shape[2] * r, shape[3] * r)
 
 
-def _repeat(x, r, out):
+def _repeat(x, r, out=None):
     """out, whose [..., rH, rW] maps hold each value of the [..., H, W] maps
-    of x in its r x r block of pixels: nearest resampling by r."""
+    of x in its r x r block of pixels: nearest resampling by r. A new
+    C-contiguous array without out."""
     *lead, h, w = x.shape
+    if out is None:
+        out = np.empty((*lead, h * r, w * r))
     out.reshape(*lead, h, r, w, r, copy=False)[...] = x[..., :, None, :, None]
     return out
 
 
-def _unproject(m, g, cache, input_grad, param_grads, channel_major, unsample, order):
-    """Backward of the optional projection, then of the resampling: the input
-    gradient is unsample(the resampled map's gradient).
+def _resampler(maps):
+    """The pair for a resampler kind: resampling by r, then an optional 1x1
+    projection. maps(m, x_shape) gives, for [B,C,H,W] input maps,
+    resample(x, out=None), the [B,C,rH,rW] map of x, written into out if
+    given; unsample(d), the input gradient of the map's gradient d; and
+    order(w_shape, g_shape), the memory order of unsample's result for the
+    whole batch.
 
-    A projecting resampler keeps its input x, not the resampled map. A weight
-    step rebuilds the map as channel_major(x), [C, B, rH, rW] and
-    C-contiguous, for the weight gradient alone, and frees it before the
-    input gradient, which runs tile by tile, joined in order(weight shape),
-    the memory order of the whole-batch input gradient."""
-    x_shape, x = cache
-    if x is None:
-        return unsample(g) if input_grad else None
-    w = m.params["weight"].value
-    if param_grads:
-        # einsum("bohw,bchw->oc", g, up) multiplies the map, copied into
-        # [C, B*rH*rW], by a [B*rH*rW, O] copy of g. On the channel-major map
-        # it makes the same product on the same operands, the map's a view.
-        m.params["weight"].grad += np.einsum("bohw,cbhw->oc", g, channel_major(x),
-                                             optimize=True)
-        m.params["bias"].grad += g.sum(axis=(0, 2, 3))
-    if not input_grad:
-        return None
-    return _joined(lambda s: unsample(np.einsum("oc,bohw->bchw", w, g[s], optimize=True)),
-                   _upsample_tiles(m, x_shape[:2] + g.shape[2:]), order(w.shape))
+    A projecting resampler keeps its input x, not the resampled map, from
+    forward to backward. Its forward resamples and projects one sample tile
+    at a time, joined in the memory order of the whole batch's projection,
+    then adds the bias. A weight step rebuilds the map, tile by tile straight
+    into a [C, B, rH, rW] C-contiguous array, for the weight gradient alone,
+    and frees it before the input gradient, which runs tile by tile too."""
+    def forward(m, x):
+        resample = maps(m, x.shape)[0]
+        if "weight" not in m.params:
+            return resample(x), (x.shape, None)
+        w, b = m.params["weight"].value, m.params["bias"].value
+        up_shape = _scaled(x.shape, m.spec.scale_factor)
+        out = _joined(lambda s: np.einsum("oc,bchw->bohw", w, resample(x[s]), optimize=True),
+                      _upsample_tiles(m, up_shape),
+                      _einsum_order("oc,bchw->bohw", w.shape, up_shape))
+        return out + b[None, :, None, None], (x.shape, x)
+
+    def backward(m, g, cache, input_grad, param_grads):
+        x_shape, x = cache
+        resample, unsample, order = maps(m, x_shape)
+        if x is None:
+            return unsample(g) if input_grad else None
+        w = m.params["weight"].value
+        up_shape = x_shape[:2] + g.shape[2:]
+        tiles = _upsample_tiles(m, up_shape)
+        if param_grads:
+            up = np.empty((up_shape[1], up_shape[0]) + up_shape[2:])
+            for s in tiles:
+                resample(x[s], out=up[:, s].transpose(1, 0, 2, 3))
+            # einsum("bohw,bchw->oc", g, map) multiplies the map, copied into
+            # [C, B*rH*rW], by a [B*rH*rW, O] copy of g. On the channel-major
+            # map it makes the same product on the same operands, the map's a
+            # view.
+            m.params["weight"].grad += np.einsum("bohw,cbhw->oc", g, up, optimize=True)
+            m.params["bias"].grad += g.sum(axis=(0, 2, 3))
+            del up
+        if not input_grad:
+            return None
+        return _joined(lambda s: unsample(np.einsum("oc,bohw->bchw", w, g[s], optimize=True)),
+                       tiles, order(w.shape, g.shape))
+    return forward, backward
 
 
-def _at_input_resolution(w_shape, x_shape):
-    """Whether a nearest resampler's [O, C] projection of [B,C,H,W] maps runs
-    before the repeat. Repeating commutes with a 1x1 projection: every output
-    value is the same sum over the channels, at r*r times fewer multiply-adds.
-    It stays bitwise where einsum's product at input resolution is a matrix
-    product of the same kind as on the repeated map, whose kernel sums it in
-    the same order: more than one input channel and output channel and input
-    pixel, and at most _SHORT_SUM channels, since a product r*r times smaller
-    may fall under the small-matrix size where the whole map's does not."""
-    (o, c), pixels = w_shape, x_shape[0] * x_shape[2] * x_shape[3]
-    return 1 < c <= _SHORT_SUM and o > 1 and pixels > 1
-
-
-def _nearest(m, x):
-    r = m.spec.scale_factor
-    up_shape = _scaled(x.shape, r)
-    if "weight" not in m.params:
-        return _repeat(x, r, np.empty(up_shape)), (x.shape, None)
-    w, b = m.params["weight"].value, m.params["bias"].value
-
-    def project(t):
-        return np.einsum("oc,bchw->bohw", w, t, optimize=True) + b[None, :, None, None]
-    order = _einsum_order("oc,bchw->bohw", w.shape, up_shape)
-    if _at_input_resolution(w.shape, x.shape):
-        # written into the r x r blocks of an output laid out as the
-        # projection of the repeated map
-        out = _repeat(project(x), r, _laid_out((x.shape[0], w.shape[0]) + up_shape[2:], order))
-    else:
-        out = _joined(lambda s: project(_repeat(x[s], r, np.empty(_scaled(x[s].shape, r)))),
-                      _upsample_tiles(m, up_shape), order)
-    return out, (x.shape, x)
-
-def _nearest_backward(m, g, cache, input_grad, param_grads):
+def _nearest_maps(m, x_shape):
+    """Nearest resampling: each value repeated over its r x r block."""
     r = m.spec.scale_factor
 
-    def channel_major(x):
-        xt = x.transpose(1, 0, 2, 3)
-        return _repeat(xt, r, np.empty(_scaled(xt.shape, r)))
+    def unsample(d):
+        b, c, hh, ww = d.shape
+        return d.reshape(b, c, hh // r, r, ww // r, r).sum(axis=(3, 5))
 
-    def unsample(dup):
-        b, c, hh, ww = dup.shape
-        return dup.reshape(b, c, hh // r, r, ww // r, r).sum(axis=(3, 5))
-    # the sum keeps the layout of the projection's input gradient
-    return _unproject(m, g, cache, input_grad, param_grads, channel_major, unsample,
-                      lambda w: _einsum_order("oc,bohw->bchw", w, g.shape))
-
-
-def _bilinear_matrices(m, shape):
-    """The [rH, H] and [rW, W] interpolation matrices of m on [B,C,H,W] maps."""
-    r = m.spec.scale_factor
-    return (_bilinear_matrix(shape[2] * r, shape[2], r),
-            _bilinear_matrix(shape[3] * r, shape[3], r))
+    def order(w_shape, g_shape):
+        # the sum keeps the memory order of the projection's input gradient
+        # but on size-1 axes, which numpy orders by rules of its own: read
+        # it off the sum of a zero map in that order, each axis of the
+        # input cut to at most 2
+        small = tuple(min(n, 2) for n in x_shape)
+        d = _laid_out(_scaled(small, r), _einsum_order("oc,bohw->bchw", w_shape, g_shape))
+        d[...] = 0.0
+        return _order_of(unsample(d))
+    return functools.partial(_repeat, r=r), unsample, order
 
 
-def _bilinear_map(mh, x, mw):
-    """The [B,C,rH,rW] bilinear map of the [B,C,H,W] maps x, in einsum's
-    layout."""
-    return _einsum("hH,bcHW,wW->bchw", mh, x, mw)
-
-
-def _bilinear(m, x):
-    mh, mw = _bilinear_matrices(m, x.shape)
-    if "weight" not in m.params:
-        return _bilinear_map(mh, x, mw), (x.shape, None)
-    w, b = m.params["weight"].value, m.params["bias"].value
-    up_shape = _scaled(x.shape, m.spec.scale_factor)
-    # resampled and projected one sample tile at a time
-    out = _joined(lambda s: np.einsum("oc,bchw->bohw", w, _bilinear_map(mh, x[s], mw),
-                                      optimize=True) + b[None, :, None, None],
-                  _upsample_tiles(m, up_shape), _einsum_order("oc,bchw->bohw", w.shape, up_shape))
-    return out, (x.shape, x)
-
-def _bilinear_backward(m, g, cache, input_grad, param_grads):
-    mh, mw = _bilinear_matrices(m, cache[0])
-    up_shape = cache[0][:2] + g.shape[2:]
+def _bilinear_maps(m, x_shape):
+    """Half-pixel bilinear resampling by dense interpolation matrices, in
+    einsum's layouts."""
+    r, (_, _, h, wd) = m.spec.scale_factor, x_shape
+    mh, mw = _bilinear_matrix(h * r, h, r), _bilinear_matrix(wd * r, wd, r)
     chain = "hH,bchw,wW->bcHW"
-
-    def channel_major(x):
-        # the forward's map, tile by tile, copied channel-major
-        up = np.empty((up_shape[1], up_shape[0]) + up_shape[2:])
-        for s in _upsample_tiles(m, up_shape):
-            up[:, s] = _bilinear_map(mh, x[s], mw).transpose(1, 0, 2, 3)
-        return up
-    return _unproject(m, g, cache, input_grad, param_grads, channel_major,
-                      lambda dup: _einsum(chain, mh, dup, mw),
-                      lambda w: _einsum_order(chain, mh.shape, up_shape, mw.shape))
+    return (lambda x, out=None: _einsum("hH,bcHW,wW->bchw", mh, x, mw, out=out),
+            lambda d: _einsum(chain, mh, d, mw),
+            lambda w_shape, g_shape: _einsum_order(chain, mh.shape, x_shape[:2] + g_shape[2:],
+                                                   mw.shape))
 
 
 def _depth_to_space(m, x):
@@ -731,8 +714,8 @@ KERNELS = {
     OpKind.Identity: (lambda m, x: (x, ()), lambda m, g, *_: g),
     OpKind.ReLU: _ACTIVATION,
     OpKind.LeakyReLU: _ACTIVATION,
-    OpKind.UpsampleNearest: (_nearest, _nearest_backward),
-    OpKind.UpsampleBilinear: (_bilinear, _bilinear_backward),
+    OpKind.UpsampleNearest: _resampler(_nearest_maps),
+    OpKind.UpsampleBilinear: _resampler(_bilinear_maps),
     OpKind.DepthToSpace: (_depth_to_space, _depth_to_space_backward),
     OpKind.Linear: (_linear, _linear_backward),
 }

@@ -326,11 +326,12 @@ def test_conv_input_grad_matches_reference_at_one_output_pixel(case):
 
 
 # toy-sr's upsample stage, 16 -> 4 channels on 32x32 maps, as (in, out, size,
-# batch); then 5x5 maps, whose B*h*w is not a multiple of 8, and the shapes a
-# nearest resampler projects after repeating (see nncore._at_input_resolution):
-# one input pixel, one input or output channel, and 32 input channels
+# batch); then 5x5 maps, whose B*h*w is not a multiple of 8; one input pixel;
+# one input or output channel, whose size-1 axis numpy lays out by rules of
+# its own, in one sample tile and in several; and 32 input channels
 UPSAMPLE_CASES = [(16, 4, 32, batch) for batch in (1, 2, 3, 8, 32)] + [
-    (16, 4, 5, 1), (16, 4, 5, 3), (16, 4, 1, 1), (1, 3, 8, 2), (5, 1, 8, 2), (32, 4, 8, 2)]
+    (16, 4, 5, 1), (16, 4, 5, 3), (16, 4, 1, 1), (1, 3, 8, 2), (5, 1, 8, 2), (32, 4, 8, 2),
+    (1, 3, 64, 48), (3, 1, 64, 48)]
 
 
 @pytest.mark.parametrize("c,o,size,batch", UPSAMPLE_CASES,

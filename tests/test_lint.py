@@ -43,13 +43,11 @@ def test_leaky_relu_slope_vpu001():
     assert findings[0].layer_index == 1
 
 
-def test_zero_slope_leaky_relu_needs_strict_mode():
+def test_zero_slope_leaky_relu_is_clean():
     net = _compact([OperatorSpec(OpKind.Conv, 3, 16, kernel=3),
                     OperatorSpec(OpKind.LeakyReLU, 16, 16, activation_slope=0.0),
                     OperatorSpec(OpKind.Linear, 16 * 64, 2)])
     assert lint_network(net) == []
-    strict = lint_network(net, strict_leaky=True)
-    assert [f.rule_id for f in strict] == ["VPU001"]
 
 
 def test_upsample_bilinear_vpu001_nearest_clean():
