@@ -246,8 +246,7 @@ def cmd_costmodel_train(args):
         if not isinstance(device, profiler.SimulatedVPU):
             raise HwnasError("--simulate needs the sim device; give records measured "
                              "on another device through --records")
-        records = costmodel.simulate_records(device, args.simulate, seed=args.seed,
-                                             clock_ghz=args.clock_ghz)
+        records = costmodel.simulate_records(device, args.simulate, seed=args.seed)
         if args.save_records:
             costmodel.save_records(records, args.save_records)
     cfg = costmodel.CostModelConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
@@ -452,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generate N records from the device when --records absent")
     given.add_argument("--save-records", help="where to write simulated records")
     p.add_argument("--device", default="sim")
-    p.add_argument("--clock-ghz", type=_number(float, "> 0"), default=DEFAULT_CLOCK_GHZ)
     for name in ("epochs", "lr", "seed"):
         _setting(p, f"--{name}", costmodel.CostModelConfig, name)
     p.add_argument("--out", required=True)

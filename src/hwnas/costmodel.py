@@ -498,9 +498,8 @@ def sample_workload(rng: np.random.Generator) -> tuple:
         return op, shape
 
 
-def simulate_records(device, num: int, seed: int = 0,
-                     clock_ghz: float = DEFAULT_CLOCK_GHZ) -> list:
-    """Profile records from the simulated device's closed-form per-op cost."""
+def simulate_records(device, num: int, seed: int = 0) -> list:
+    """Profile records of the sim device's closed-form per-op cost, in its own cycles."""
     rng = np.random.default_rng(seed)
     records = []
     while len(records) < num:
@@ -508,5 +507,5 @@ def simulate_records(device, num: int, seed: int = 0,
         ms = device.op_cost_ms(op, shape)
         if ms <= 0:
             continue
-        records.append(ProfileRecord(op, shape, ms * clock_ghz * 1e6))
+        records.append(ProfileRecord(op, shape, ms * device.clock_ghz * 1e6))
     return records

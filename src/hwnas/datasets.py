@@ -15,9 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeMismatch
 from .graph import Task
 from .jsonio import bounded, check_fields, check_number
+from .nncore import loss_mse
 
 PSNR_CAP_DB = 99.0
 MIN_SAMPLES = 7  # the fewest samples whose 70/15/15 split leaves no part empty
@@ -117,12 +117,8 @@ class PsnrResult(NamedTuple):
 
 def psnr(pred: np.ndarray, target: np.ndarray, peak: float = 1.0) -> PsnrResult:
     """10*log10(peak^2 / MSE); exact matches are capped at 99 dB and flagged."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
+    mse = loss_mse(pred, target)[0]
     check_number(peak, "> 0", "peak")
-    mse = float(np.mean((pred - target) ** 2))
     if mse == 0.0:
         return PsnrResult(PSNR_CAP_DB, True)
     return PsnrResult(min(10.0 * math.log10(peak ** 2 / mse), PSNR_CAP_DB), False)

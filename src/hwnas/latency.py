@@ -47,14 +47,20 @@ def lookup(lut: LatencyTable, op: OperatorSpec, input_shape: TensorShape) -> flo
         raise MissingEntry(key)
 
 
+def check_probs(p) -> np.ndarray:
+    """p as float64, if its entries are >= 0 and sum to 1 within 1e-9."""
+    p = np.asarray(p, dtype=np.float64)
+    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        raise NotNormalized(f"p sums to {p.sum()!r}")
+    return p
+
+
 def _check_stage(p, f):
     p = np.asarray(p, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
     if p.shape != f.shape or p.ndim != 1:
         raise LengthMismatch(f"p has shape {p.shape}, f has shape {f.shape}")
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise NotNormalized(f"p sums to {p.sum()!r}")
-    return p, f
+    return check_probs(p), f
 
 
 def expected_stage_latency(p, f) -> float:
@@ -71,14 +77,14 @@ def expected_network_latency(stages: Sequence, fixed_ms: float = 0.0) -> float:
     return total
 
 
-def latency_alpha_grad(p, f) -> np.ndarray:
-    """Exact gradient of sum_j softmax(a)_j * f_j w.r.t. the stage logits a.
+def latency_alpha_grad(p, v) -> np.ndarray:
+    """The gradient of sum_j softmax(a)_j * v_j with respect to a, p = softmax(a).
 
-    g_k = sum_j f_j * p_j * (delta_jk - p_k) = p_k * (f_k - E[f]).
-    Components sum to zero (softmax shift invariance).
-    """
-    p, f = _check_stage(p, f)
-    return p * (f - float(p @ f))
+    g_k = sum_j v_j * p_j * (delta_jk - p_k) = p_k * (v_k - p.v). Both terms
+    of an arch step go through it: v is a stage's latencies, or its dL/dgate.
+    Components sum to zero (softmax shift invariance)."""
+    p, v = _check_stage(p, v)
+    return p * (v - float(p @ v))
 
 
 # ---------------------------------------------------------------------------

@@ -379,10 +379,12 @@ def _channel_blocks(c, o, pixels, k):
     _SPLIT_MACS. A block splits the columns of the product, so it holds a
     multiple of 8 channels (see _sample_tiles) or, where 8 do not fit, one
     channel or the fewest that get _SPLIT_MACS: so few columns are one
-    block of OpenBLAS's kernel, which sums them as the whole product does."""
+    block of OpenBLAS's kernel, which sums them as the whole product does.
+    An O = 1 conv keeps its whole window operand: its product is a
+    vector-matrix one, which a column split does not keep bitwise."""
     per = TILE_BYTES // (pixels * k * k * 8)
     least = -(-_SPLIT_MACS // (o * pixels * k * k))
-    if per >= c:
+    if per >= c or o == 1:
         return [slice(0, c)]
     return _runs(c, per // 8 * 8, least, 8) if per >= 8 else _runs(c, 1, least)
 

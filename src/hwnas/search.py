@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteLoss, NotNormalized
+from .errors import LengthMismatch, NonFiniteLoss
 from .graph import CompactNet, SuperNet, Task, walk
 from .jsonio import bounded, check_fields
-from .latency import (LatencyTable, expected_network_latency, fixed_latency,
-                      latency_alpha_grad, stage_latency_vectors)
+from .latency import (LatencyTable, check_probs, expected_network_latency,
+                      fixed_latency, latency_alpha_grad, stage_latency_vectors)
 from .nncore import ModuleInstance, loss_ce, loss_mse, sgd_step
 
 
@@ -32,23 +32,9 @@ def path_probs(alpha) -> np.ndarray:
 
 def sample_gate(p, rng: np.random.Generator) -> int:
     """An index drawn from the categorical distribution p."""
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise NotNormalized(f"p sums to {p.sum()!r}")
+    p = check_probs(p)
     idx = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
     return min(idx, len(p) - 1)
-
-
-def arch_grad(dl_dg, p) -> np.ndarray:
-    """Gate-loss gradient pushed through the softmax Jacobian.
-
-    dL/da_i = sum_j dL/dg_j * p_j * (delta_ij - p_i) = p_i*(dL/dg_i - p.dL/dg).
-    """
-    dl_dg = np.asarray(dl_dg, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if dl_dg.shape != p.shape:
-        raise LengthMismatch(f"dl_dg {dl_dg.shape} vs p {p.shape}")
-    return p * (dl_dg - float(p @ dl_dg))
 
 
 def weight_l2(params) -> float:
@@ -227,10 +213,10 @@ def train_search(supernet: SuperNet, train_data, val_data, cfg: SearchConfig,
             e_lat = expected_network_latency(list(zip(probs, f_vectors)), fixed_ms)
             val_losses.append(total_loss(ce, l2, e_lat, cfg))
             gate_scalars = model.backward(g, param_grads=False)
-            for i, (p, a) in enumerate(zip(probs, alphas)):
+            for i, (p, a, f) in enumerate(zip(probs, alphas, f_vectors)):
                 dl_dg = np.zeros(len(p))
                 dl_dg[gates[i]] = gate_scalars[i]
-                da = arch_grad(dl_dg, p) + cfg.lambda2 * latency_alpha_grad(p, f_vectors[i])
+                da = latency_alpha_grad(p, dl_dg) + cfg.lambda2 * latency_alpha_grad(p, f)
                 alphas[i] = a - cfg.lr_arch * da
 
         probs = [path_probs(a) for a in alphas]

@@ -411,7 +411,7 @@ FLAG_COMMANDS = {
 OUT_OF_RANGE_FLAGS = [
     ("lut build", "--stack-n", "0"), ("lut build", "--stack-n", "-3"),
     ("lut build", "--trials", "0"), ("lut from-model", "--clock-ghz", "0"),
-    ("costmodel train", "--epochs", "0"), ("costmodel train", "--clock-ghz", "0"),
+    ("costmodel train", "--epochs", "0"),
     ("search run", "--rounds", "-1"), ("search run", "--batch-size", "0"),
     ("search run", "--weight-steps", "0"), ("search run", "--arch-steps", "0"),
     ("search run", "--lr-weights", "0"), ("search run", "--lr-arch", "0"),
@@ -426,7 +426,6 @@ OUT_OF_RANGE_FLAGS = [
     ("costmodel train", "--lr", "-1"), ("lint", "--streaming-threshold", "-1"),
     # non-finite values of every float flag
     ("lut from-model", "--clock-ghz", "inf"), ("lut from-model", "--clock-ghz", "nan"),
-    ("costmodel train", "--clock-ghz", "inf"), ("costmodel train", "--clock-ghz", "nan"),
     ("costmodel train", "--lr", "inf"), ("costmodel train", "--lr", "nan"),
     ("train-compact", "--lr", "inf"), ("train-compact", "--lr", "nan"),
     ("search run", "--lr-weights", "inf"), ("search run", "--lr-weights", "nan"),
@@ -576,6 +575,15 @@ def test_costmodel_train_refuses_to_save_records_it_was_given(tmp_path, capsys):
                 "--out", str(tmp_path / "m.json"))
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_costmodel_train_has_no_clock_of_its_own(tmp_path, capsys):
+    """Simulated records count cycles of the sim device's own clock_ghz."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("costmodel", "train", "--clock-ghz", "0.7", "--out", str(tmp_path / "m.json"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --clock-ghz" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

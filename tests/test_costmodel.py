@@ -113,6 +113,13 @@ def test_scale_awareness():
     assert large > small
 
 
+def test_simulated_records_count_cycles_of_the_device_clock():
+    dev = SimulatedVPU(clock_ghz=1.4)
+    for r in simulate_records(dev, 20, seed=1):
+        assert r.measured_cycles == pytest.approx(dev.op_cost_ms(r.op, r.input_shape) * 1.4e6,
+                                                  rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # evaluate_mape
 # ---------------------------------------------------------------------------

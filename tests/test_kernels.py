@@ -184,6 +184,9 @@ CASES += [
     (OperatorSpec(OpKind.Conv, 16, 2, kernel=5), TensorShape(16, 32, 32), 8),
     (OperatorSpec(OpKind.Conv, 16, 16, kernel=5), TensorShape(16, 33, 33), 8),
     (OperatorSpec(OpKind.Conv, 16, 16, kernel=7), TensorShape(16, 32, 32), 2),
+    # one output channel: a vector-matrix weight gradient, kept in one block
+    (OperatorSpec(OpKind.Conv, 4, 1, kernel=3), TensorShape(4, 64, 64), 32),
+    (OperatorSpec(OpKind.Conv, 3, 1, kernel=3), TensorShape(3, 64, 64), 32),
 ]
 # Non-square maps and batch 1: a reshape of a batch-1 or one-row window view
 # can be a view, not a copy, and BLAS then reads strided memory.

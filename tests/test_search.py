@@ -7,9 +7,9 @@ import pytest
 from hwnas.errors import LengthMismatch, NonFiniteLoss
 from hwnas.graph import (MixedStage, OperatorSpec, OpKind, SuperNet, Task,
                          TensorShape)
-from hwnas.latency import LatencyTable
+from hwnas.latency import LatencyTable, latency_alpha_grad
 from hwnas.profiler import enumerate_search_space
-from hwnas.search import (RoundRecord, SearchConfig, arch_grad, derive_compact,
+from hwnas.search import (RoundRecord, SearchConfig, derive_compact,
                           history_csv, path_probs, sample_gate, total_loss,
                           train_compact, train_search, weight_l2)
 
@@ -70,21 +70,21 @@ def test_gate_chi_square_three_way():
 
 
 # ---------------------------------------------------------------------------
-# arch_grad
+# the gate term: latency_alpha_grad(p, dL/dg)
 # ---------------------------------------------------------------------------
 
 def test_arch_grad_hand_value():
-    g = arch_grad(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+    g = latency_alpha_grad(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
     np.testing.assert_allclose(g, [0.25, -0.25], atol=1e-15)
 
 
 def test_arch_grad_constant_dl_dg_zero():
-    g = arch_grad(np.array([3.0, 3.0, 3.0]), np.array([0.2, 0.3, 0.5]))
+    g = latency_alpha_grad(np.array([0.2, 0.3, 0.5]), np.array([3.0, 3.0, 3.0]))
     np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
 
 def test_arch_grad_saturated_softmax_zero():
-    g = arch_grad(np.array([4.2, -1.0]), np.array([1.0, 0.0]))
+    g = latency_alpha_grad(np.array([1.0, 0.0]), np.array([4.2, -1.0]))
     np.testing.assert_allclose(g, 0.0, atol=1e-15)
 
 
@@ -95,7 +95,7 @@ def test_arch_grad_matches_linearized_fd():
         alpha = rng.standard_normal(4)
         dl_dg = rng.standard_normal(4)
         p = path_probs(alpha)
-        grad = arch_grad(dl_dg, p)
+        grad = latency_alpha_grad(p, dl_dg)
         for i in range(4):
             hi, lo = alpha.copy(), alpha.copy()
             hi[i] += eps
