@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -74,11 +75,18 @@ def _number(kind, bound: str):
     return parse
 
 
+@functools.cache
+def _typed_fields(cls):
+    """{name: (type, field)} of dataclass `cls`, its annotations evaluated once."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f) for f in dataclasses.fields(cls)}
+
+
 def _setting(p, flag, cls, name, **kw):
     """Add `flag` for field `name` of dataclass `cls`: its type, bound, dest and default
     are the field's, unless `kw` gives another dest or default."""
-    f = next(f for f in dataclasses.fields(cls) if f.name == name)
-    p.add_argument(flag, type=_number(typing.get_type_hints(cls)[name], f.metadata["bound"]),
+    kind, f = _typed_fields(cls)[name]
+    p.add_argument(flag, type=_number(kind, f.metadata["bound"]),
                    **{"dest": name, "default": f.default} | kw)
 
 

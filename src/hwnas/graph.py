@@ -148,7 +148,9 @@ def _dense_params(op):
 
 
 def _projection_params(op):
-    """The learned pointwise projection after resampling, when it changes the width."""
+    """The learned pointwise projection, then resampling, when it changes the
+    width: nncore projects at input resolution. The MAC rule still prices
+    the projection at output resolution, as the simulated device runs it."""
     return _dense_params(op) if op.out_channels != op.in_channels else {}
 
 

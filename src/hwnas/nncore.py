@@ -26,6 +26,11 @@ back. For the same reason the DWConv input-gradient products read a
 channel-major contiguous copy of the output gradient, not the gradient the
 next layer hands down, which is usually the crop of a padded buffer.
 
+A resampler (nearest or bilinear) that changes the width is a projection,
+then a resample: the conv pair at k = 1, reading its [O,C] weight as
+[O,C,1,1], on the input maps, then the parameter-free resample of the
+projection's output; its backward runs the two adjoints in reverse.
+
 The large-map kernels bound their transient buffers by one budget,
 TILE_BYTES (6 MiB). A G = 1 conv builds its window matrix, and runs its
 forward product, its input-gradient product and the window scatter, over
@@ -33,19 +38,14 @@ tiles of whole samples: the fewest near-equal tiles whose per-sample buffers
 fit the budget. Its weight gradient stays one contraction over B*Ho*Wo,
 since a contraction split into partial sums sums in another order; it
 gathers the window operand in blocks of input channels instead, and fills
-dw's columns one block at a time. A projecting resampler, nearest or
-bilinear, keeps its input, not its resampled map, from forward to backward:
-it resamples and projects over sample tiles, and its input gradient runs
-over sample tiles too. Only a weight step builds the resampled map again,
-tile by tile into one channel-major array, so that einsum's weight-gradient
-product reads it as a view, and frees it before the input gradient. A
-batch whose buffers fit is one tile and one block and makes the calls it
-made before tiling: every toy-classification shape does. A DWConv is never
-split. A split keeps the bits of the whole product only where OpenBLAS
-computes each piece with the whole product's kernel, so each piece gets
-2^20 multiply-adds, and a piece of a product's columns spans a multiple of
-8 of them or very few (see the tile helpers); and tiles are joined in the
-memory layout of the whole batch's result.
+dw's columns one block at a time. A batch whose buffers fit is one tile
+and one block and makes the calls it made before tiling: every
+toy-classification shape does. A DWConv is never split. A split keeps the
+bits of the whole product only where OpenBLAS computes each piece with the
+whole product's kernel, so each piece gets 2^20 multiply-adds, and a piece
+of a product's columns spans a multiple of 8 of them or very few (see the
+tile helpers); and tiles are joined in the memory layout of the whole
+batch's result.
 
 Every value a kernel computes, and the memory layout of its output and input
 gradient, is bitwise equal to the plain einsum formulation (sliding windows,
@@ -138,43 +138,6 @@ def _laid_out(shape, order):
     return np.empty([shape[a] for a in order]).transpose(np.argsort(order))
 
 
-def _order_of(a):
-    """The memory order of a, outermost axis first, as _laid_out takes it.
-    numpy lays a new array out from its innermost axis, so a size-1 axis
-    shares its stride with the next axis out."""
-    return tuple(sorted(range(a.ndim), key=lambda i: (-a.strides[i], a.shape[i] == 1)))
-
-
-@functools.cache
-def _einsum_order(subscripts, *shapes):
-    """The memory order, outermost axis first, of the result of
-    np.einsum(subscripts, *operands, optimize=True) on operands of these
-    shapes, without computing it.
-
-    Its last step is one pairwise product, which numpy makes a matmul over
-    its operands' axes longer than 1. The result holds its size-1 axes
-    outermost, then the kept axes both operands hold, then the other kept
-    axes of the left operand, then those of the right one. Where no axis
-    longer than 1 is summed, the product is a broadcast multiply, whose
-    result is C-ordered. Which operands those are, and the axis order of an
-    intermediate, numpy's einsum_path decides from the operand shapes alone
-    (einsum_call=True returns the steps np.einsum runs), so the order is
-    worked out once per shape: a three-operand chain's layout changes with
-    the batch size, and any product's with which of its axes have size 1, so
-    the whole batch's layout is not a tile's.
-    """
-    _, steps = np.einsum_path(subscripts, *_shaped(shapes), optimize=True, einsum_call=True)
-    size = {a: n for term, shape in zip(subscripts.split("->")[0].split(","), shapes)
-            for a, n in zip(term, shape)}
-    inputs, output = steps[-1][1].split("->")
-    left, right = ([a for a in term if size[a] > 1] for term in inputs.split(","))
-    if not any(a in right and a not in output for a in left):
-        return tuple(range(len(output)))
-    kept = ([a for a in output if size[a] == 1] + [a for a in left if a in right and a in output]
-            + [a for a in left if a not in right] + [a for a in right if a not in left])
-    return tuple(output.index(a) for a in kept if a in output)
-
-
 def _shaped(shapes):
     """Zero-stride operands of these shapes, for numpy's path search, which
     reads shapes alone."""
@@ -186,11 +149,11 @@ def _einsum_path(subscripts, *shapes):
     return np.einsum_path(subscripts, *_shaped(shapes), optimize=True)[0]
 
 
-def _einsum(subscripts, *operands, out=None):
-    """np.einsum(subscripts, *operands, optimize=True, out=out), on the
-    contraction path that numpy's search picks for these shapes, searched
-    once per shape: the same steps, so the same bytes."""
-    return np.einsum(subscripts, *operands, out=out,
+def _einsum(subscripts, *operands):
+    """np.einsum(subscripts, *operands, optimize=True), on the contraction
+    path that numpy's search picks for these shapes, searched once per
+    shape: the same steps, so the same bytes."""
+    return np.einsum(subscripts, *operands,
                      optimize=_einsum_path(subscripts, *(o.shape for o in operands)))
 
 
@@ -492,9 +455,12 @@ def _relu_backward(g, mask, slope):
 
 def _weighted(kernel_forward, kernel_backward):
     """The pair for a kind with one weight and one bias. A DWConv's [C,k,k]
-    weight goes to the kernels as the [C,1,k,k] weight of C groups."""
+    weight goes to the kernels as the [C,1,k,k] weight of C groups, and a
+    resampler's [O,C] projection as an [O,C,1,1] one."""
     def weight(m):
         w = m.params["weight"].value
+        if w.ndim == 2:
+            return w[:, :, None, None]
         return w[:, None] if w.ndim == 3 else w
 
     def forward(m, x):
@@ -508,6 +474,11 @@ def _weighted(kernel_forward, kernel_backward):
             m.params["bias"].grad += db
         return dx
     return forward, backward
+
+
+# Conv, PointwiseConv and DWConv, and a resampler's projection: one
+# convolution of G groups
+_CONV = _weighted(_conv_forward, _conv_backward)
 
 
 def _mbconv(m, x):
@@ -558,82 +529,37 @@ def _maxpool_backward(m, g, cache, input_grad, param_grads):
                             s.kernel, s.stride)
 
 
-def _upsample_tiles(m, up_shape):
-    """The sample tiles of a projecting resampler by r onto [B,C,rH,rW] maps:
-    a tile's resampled map and the projection's copy of it, 2*C*rH*rW
-    doubles a sample, fit in TILE_BYTES, and its smallest product,
-    C*rH*rW*min(O, H, W) multiply-adds a sample, gets _SPLIT_MACS. Its
-    products split their rows, not their columns."""
-    n, c, hh, ww = up_shape
-    r, big = m.spec.scale_factor, c * hh * ww
-    macs = big * min(m.spec.out_channels, hh // r, ww // r)
-    return _runs(n, max(1, TILE_BYTES // (2 * big * 8)), -(-_SPLIT_MACS // macs))
-
-
-def _scaled(shape, r):
-    """The shape of [B,C,H,W] maps resampled by r."""
-    return shape[:2] + (shape[2] * r, shape[3] * r)
-
-
-def _repeat(x, r, out=None):
-    """out, whose [..., rH, rW] maps hold each value of the [..., H, W] maps
-    of x in its r x r block of pixels: nearest resampling by r. A new
-    C-contiguous array without out."""
+def _repeat(x, r):
+    """A new C-contiguous array whose [..., rH, rW] maps hold each value of
+    the [..., H, W] maps of x in its r x r block of pixels: nearest
+    resampling by r."""
     *lead, h, w = x.shape
-    if out is None:
-        out = np.empty((*lead, h * r, w * r))
+    out = np.empty((*lead, h * r, w * r))
     out.reshape(*lead, h, r, w, r, copy=False)[...] = x[..., :, None, :, None]
     return out
 
 
 def _resampler(maps):
-    """The pair for a resampler kind: resampling by r, then an optional 1x1
-    projection. maps(m, x_shape) gives, for [B,C,H,W] input maps,
-    resample(x, out=None), the [B,C,rH,rW] map of x, written into out if
-    given; unsample(d), the input gradient of the map's gradient d; and
-    order(w_shape, g_shape), the memory order of unsample's result for the
-    whole batch.
+    """The pair for a resampler kind: an optional 1x1 projection, then
+    resampling by r. maps(m, x_shape) gives, for [B,C,H,W] input maps,
+    resample(y), the map of [B,O,H,W] maps y resampled to [B,O,rH,rW], and
+    unsample(d), the gradient of y for the map's gradient d.
 
-    A projecting resampler keeps its input x, not the resampled map, from
-    forward to backward. Its forward resamples and projects one sample tile
-    at a time, joined in the memory order of the whole batch's projection,
-    then adds the bias. A weight step rebuilds the map, tile by tile straight
-    into a [C, B, rH, rW] C-contiguous array, for the weight gradient alone,
-    and frees it before the input gradient, which runs tile by tile too."""
+    A projecting resampler's projection is the conv kernel pair at k = 1,
+    with the op's own weight and bias, run at input resolution: a 1x1
+    projection commutes with a per-channel linear resampler, and run first
+    it makes 1/r^2 of the multiply-adds, on maps r^2 times smaller. It
+    keeps its input x from forward to backward."""
     def forward(m, x):
-        resample = maps(m, x.shape)[0]
-        if "weight" not in m.params:
-            return resample(x), (x.shape, None)
-        w, b = m.params["weight"].value, m.params["bias"].value
-        up_shape = _scaled(x.shape, m.spec.scale_factor)
-        out = _joined(lambda s: np.einsum("oc,bchw->bohw", w, resample(x[s]), optimize=True),
-                      _upsample_tiles(m, up_shape),
-                      _einsum_order("oc,bchw->bohw", w.shape, up_shape))
-        return out + b[None, :, None, None], (x.shape, x)
+        shape, kept = x.shape, None
+        if "weight" in m.params:
+            x, kept = _CONV[0](m, x)
+        return maps(m, shape)[0](x), (shape, kept)
 
     def backward(m, g, cache, input_grad, param_grads):
-        x_shape, x = cache
-        resample, unsample, order = maps(m, x_shape)
-        if x is None:
-            return unsample(g) if input_grad else None
-        w = m.params["weight"].value
-        up_shape = x_shape[:2] + g.shape[2:]
-        tiles = _upsample_tiles(m, up_shape)
-        if param_grads:
-            up = np.empty((up_shape[1], up_shape[0]) + up_shape[2:])
-            for s in tiles:
-                resample(x[s], out=up[:, s].transpose(1, 0, 2, 3))
-            # einsum("bohw,bchw->oc", g, map) multiplies the map, copied into
-            # [C, B*rH*rW], by a [B*rH*rW, O] copy of g. On the channel-major
-            # map it makes the same product on the same operands, the map's a
-            # view.
-            m.params["weight"].grad += np.einsum("bohw,cbhw->oc", g, up, optimize=True)
-            m.params["bias"].grad += g.sum(axis=(0, 2, 3))
-            del up
-        if not input_grad:
-            return None
-        return _joined(lambda s: unsample(np.einsum("oc,bohw->bchw", w, g[s], optimize=True)),
-                       tiles, order(w.shape, g.shape))
+        shape, x = cache
+        d = maps(m, shape)[1](g)
+        return d if x is None else _CONV[1](m, d, x, input_grad, param_grads)
     return forward, backward
 
 
@@ -644,29 +570,15 @@ def _nearest_maps(m, x_shape):
     def unsample(d):
         b, c, hh, ww = d.shape
         return d.reshape(b, c, hh // r, r, ww // r, r).sum(axis=(3, 5))
-
-    def order(w_shape, g_shape):
-        # the sum keeps the memory order of the projection's input gradient
-        # but on size-1 axes, which numpy orders by rules of its own: read
-        # it off the sum of a zero map in that order, each axis of the
-        # input cut to at most 2
-        small = tuple(min(n, 2) for n in x_shape)
-        d = _laid_out(_scaled(small, r), _einsum_order("oc,bohw->bchw", w_shape, g_shape))
-        d[...] = 0.0
-        return _order_of(unsample(d))
-    return functools.partial(_repeat, r=r), unsample, order
+    return functools.partial(_repeat, r=r), unsample
 
 
 def _bilinear_maps(m, x_shape):
-    """Half-pixel bilinear resampling by dense interpolation matrices, in
-    einsum's layouts."""
+    """Half-pixel bilinear resampling by dense interpolation matrices."""
     r, (_, _, h, wd) = m.spec.scale_factor, x_shape
     mh, mw = _bilinear_matrix(h * r, h, r), _bilinear_matrix(wd * r, wd, r)
-    chain = "hH,bchw,wW->bcHW"
-    return (lambda x, out=None: _einsum("hH,bcHW,wW->bchw", mh, x, mw, out=out),
-            lambda d: _einsum(chain, mh, d, mw),
-            lambda w_shape, g_shape: _einsum_order(chain, mh.shape, x_shape[:2] + g_shape[2:],
-                                                   mw.shape))
+    return (lambda y: _einsum("hH,bcHW,wW->bchw", mh, y, mw),
+            lambda d: _einsum("hH,bchw,wW->bcHW", mh, d, mw))
 
 
 def _depth_to_space(m, x):
@@ -700,9 +612,6 @@ def _linear_backward(m, g, cache, input_grad, param_grads):
 
 _ACTIVATION = (lambda m, x: _relu_forward(x, m.spec.activation_slope),
                lambda m, g, mask, *_: _relu_backward(g, mask, m.spec.activation_slope))
-
-# Conv, PointwiseConv and DWConv: one convolution of G groups
-_CONV = _weighted(_conv_forward, _conv_backward)
 
 # The kernels of each kind. The rest of a kind's facts are in graph.KINDS, which
 # imports no kernels.

@@ -34,7 +34,7 @@ GOLDEN = {
     "toy-sr": {
         "lut": "cd793479d55fa300ded78550d28abe8893c8bca363dc1439596731eab42148c3",
         "history": "ab308aadaf1670f939b70863767b9f1acc6e31a98724e4c5bcd4db3c936e7b7e",
-        "arch": "541a61c2f785778e66cc4524abaf6af57d2a78f390560ee9eba7e172da0fa013",
+        "arch": "cb9bde3bf593bf96c8a42fcad7446993f8a9f7d879e3582abb83fd3291a7f730",
         "compact": "f4e5471ad5017397bd18e53854a4f91aa96e35eb71c5754a47fa0b9f3414d082",
     },
 }

@@ -100,24 +100,21 @@ def ref_bilinear_matrix(out_size, in_size, scale):
 
 
 def ref_upsample(kind, x, w, b, g, r):
-    """(out, dx, dw, db) of a nearest (repeat) or bilinear (dense-matrix
-    einsum) resampler by r followed by the 1x1 projection w."""
-    bsz, c, h, wd = x.shape
+    """(out, dx, dw, db) of the 1x1 projection w (ref_conv at k = 1), then
+    a nearest (repeat) or bilinear (dense-matrix einsum) resampler by r; the
+    adjoint runs in reverse."""
+    bsz, _, h, wd = x.shape
+    o = w.shape[0]
     if kind is OpKind.UpsampleNearest:
-        up = x.repeat(r, axis=2).repeat(r, axis=3)
+        resample = lambda y: y.repeat(r, axis=2).repeat(r, axis=3)
+        dy = g.reshape(bsz, o, h, r, wd, r).sum(axis=(3, 5))
     else:
         mh = ref_bilinear_matrix(h * r, h, r)
         mw = ref_bilinear_matrix(wd * r, wd, r)
-        up = np.einsum("hH,bcHW,wW->bchw", mh, x, mw, optimize=True)
-    out = np.einsum("oc,bchw->bohw", w, up, optimize=True) + b[None, :, None, None]
-    dw = np.einsum("bohw,bchw->oc", g, up, optimize=True)
-    db = g.sum(axis=(0, 2, 3))
-    dup = np.einsum("oc,bohw->bchw", w, g, optimize=True)
-    if kind is OpKind.UpsampleNearest:
-        dx = dup.reshape(bsz, c, h, r, wd, r).sum(axis=(3, 5))
-    else:
-        dx = np.einsum("hH,bchw,wW->bcHW", mh, dup, mw, optimize=True)
-    return out, dx, dw, db
+        resample = lambda y: np.einsum("hH,bcHW,wW->bchw", mh, y, mw, optimize=True)
+        dy = np.einsum("hH,bchw,wW->bcHW", mh, g, mw, optimize=True)
+    y, dx, dw, db = ref_conv(x, w[:, :, None, None], b, dy, 1, 0)
+    return resample(y), dx, dw.reshape(w.shape), db
 
 
 def ref_loss_ce(logits, labels):
@@ -330,8 +327,8 @@ def test_conv_input_grad_matches_reference_at_one_output_pixel(case):
 
 # toy-sr's upsample stage, 16 -> 4 channels on 32x32 maps, as (in, out, size,
 # batch); then 5x5 maps, whose B*h*w is not a multiple of 8; one input pixel;
-# one input or output channel, whose size-1 axis numpy lays out by rules of
-# its own, in one sample tile and in several; and 32 input channels
+# one input channel (a one-term projection) or one output channel, in one
+# sample tile of the projection and in several; and 32 input channels
 UPSAMPLE_CASES = [(16, 4, 32, batch) for batch in (1, 2, 3, 8, 32)] + [
     (16, 4, 5, 1), (16, 4, 5, 3), (16, 4, 1, 1), (1, 3, 8, 2), (5, 1, 8, 2), (32, 4, 8, 2),
     (1, 3, 64, 48), (3, 1, 64, 48)]
@@ -413,7 +410,9 @@ def test_kernel_working_set_is_bounded(op, shape):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 9.7, 9.0, 9.4 and 9.4 MB for the four cases at a TILE_BYTES of 6 MiB
+    # peaks of 5.8, 7.2, 3.7 and 3.4 MB for the four cases, against bounds of
+    # 9.7, 9.0, 9.4 and 9.4 MB at a TILE_BYTES of 6 MiB: a resampler projects
+    # at input resolution and builds no resampled copy of its input
     assert peak <= _kept_arrays_bytes(op, shape, batch) + TILE_BYTES
 
 

@@ -75,6 +75,44 @@ def test_relu_backward_masks_grad():
     assert g.ravel().tolist() == [0.0, 1.0]
 
 
+def _same(got, ref):
+    """Bitwise equality, signed zeros included, in the same memory layout."""
+    return got.tobytes() == ref.tobytes() and got.strides == ref.strides
+
+
+# A resampler that changes the width is, by definition, a PointwiseConv with
+# its weight and bias, then the resampler that keeps the width: toy-sr's
+# 16 -> 4 stage on 32x32 maps, and a projection from one channel.
+@pytest.mark.parametrize("c,o,size,batch", [(16, 4, 32, 8), (1, 3, 8, 2)])
+@pytest.mark.parametrize("kind", [OpKind.UpsampleNearest, OpKind.UpsampleBilinear],
+                         ids=lambda k: k.value)
+def test_projecting_resampler_is_pointwise_conv_then_resampler(kind, c, o, size, batch):
+    rng = np.random.default_rng(c)
+    inst = _inst(OperatorSpec(kind, c, o, scale_factor=2))
+    conv = _inst(OperatorSpec(OpKind.PointwiseConv, c, o))
+    plain = _inst(OperatorSpec(kind, o, o, scale_factor=2))
+    w, b = inst.params["weight"], inst.params["bias"]
+    w.value += 0.1 * rng.standard_normal(w.value.shape)
+    b.value += 0.1 * rng.standard_normal(b.value.shape)
+    conv.params["weight"].value[...] = w.value[:, :, None, None]
+    conv.params["bias"].value[...] = b.value
+    x = rng.standard_normal((batch, c, size, size))
+    g = rng.standard_normal((batch, o, 2 * size, 2 * size))
+    for param_grads in (True, False):
+        out = inst.forward(x)
+        dx = inst.backward(g, param_grads=param_grads)
+        ref_out = plain.forward(conv.forward(x))
+        ref_dx = conv.backward(plain.backward(g), param_grads=param_grads)
+        assert _same(out, ref_out)
+        assert _same(dx, ref_dx)
+        ref_dw, ref_db = conv.params["weight"].grad, conv.params["bias"].grad
+        assert _same(w.grad, ref_dw.reshape(o, c))
+        assert _same(b.grad, ref_db)
+        assert w.grad.any() == param_grads
+        inst.zero_grad()
+        conv.zero_grad()
+
+
 # ---------------------------------------------------------------------------
 # gradient checks (acceptance criterion lives in test_acceptance; these are
 # the per-kind unit fixtures)

@@ -22,7 +22,8 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 S, K, T = OperatorSpec, OpKind, TensorShape
 
-# (op, input shape): one of each kind
+# (op, input shape): one of each kind, and a bilinear resampler both with and
+# without a projection (the nearest one projects)
 CASES = [
     (S(K.Conv, 3, 4, kernel=3), T(3, 5, 5)),
     (S(K.DWConv, 4, 4, kernel=3, stride=2), T(4, 5, 5)),
@@ -35,12 +36,16 @@ CASES = [
     (S(K.LeakyReLU, 4, 4, activation_slope=0.1), T(4, 3, 3)),
     (S(K.UpsampleNearest, 4, 2, scale_factor=2), T(4, 3, 3)),
     (S(K.UpsampleBilinear, 4, 4, scale_factor=2), T(4, 3, 3)),
+    (S(K.UpsampleBilinear, 4, 2, scale_factor=2), T(4, 3, 3)),
     (S(K.DepthToSpace, 8, 2, scale_factor=2), T(8, 3, 3)),
     (S(K.Linear, 16, 3), T(4, 2, 2)),
 ]
 
 # MBConv runs its expand, dw and project children through the same entry points.
-EXPECTED_CALLS = {kind: 1 for kind in OpKind} | {K.PointwiseConv: 3, K.DWConv: 2}
+# A projecting resampler calls the conv kernels directly: one span, of its own
+# kind, and no PointwiseConv span.
+EXPECTED_CALLS = ({kind: 1 for kind in OpKind}
+                  | {K.PointwiseConv: 3, K.DWConv: 2, K.UpsampleBilinear: 2})
 
 
 @pytest.fixture(scope="module")
