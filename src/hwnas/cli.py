@@ -9,6 +9,7 @@ timestamp-stripped content so reruns with the same seed match byte-for-byte).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -110,8 +111,9 @@ def _add_dataset_args(p):
     _setting(p, "--data-seed", datasets.DatasetSpec, "seed", dest=None, default=42)
 
 
-def _make_dataset(net, args) -> datasets.Dataset:
-    """Data of the net's input map, classes and SR scale; --data-size may only restate the map."""
+def _make_dataset(net, args, splits=datasets.SPLITS) -> datasets.Dataset:
+    """Data of the net's input map, classes and SR scale; --data-size may only restate the map.
+    SR data holds only the named splits."""
     c, h, w = net.input_shape.as_list()
     size = args.data_size or h
     if (c, h, w) != (3, size, size):
@@ -124,13 +126,14 @@ def _make_dataset(net, args) -> datasets.Dataset:
         raise HwnasError(f"{args.net}: {e}")
     if net.task is Task.Classification:
         return datasets.generate_classification_dataset(spec)
-    return datasets.generate_sr_dataset(spec)
+    return datasets.generate_sr_dataset(spec, splits)
 
 
 def _splits(net, args, *names) -> list:
     """The named splits of _make_dataset(net, args). Each split owns its
-    arrays, so the splits a command does not read are freed here."""
-    ds = _make_dataset(net, args)
+    arrays, so the splits a command does not read are freed here, or, for
+    SR data, never rendered."""
+    ds = _make_dataset(net, args, names)
     return [getattr(ds, name) for name in names]
 
 
@@ -532,7 +535,30 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# mallopt parameters of glibc's <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_freed_heap():
+    """Pin glibc's malloc thresholds where its own rule tops out: blocks up
+    to 32 MiB come from the heap, and up to 64 MiB of free heap top is kept.
+
+    Both thresholds start at 128 KiB and rise to fit the largest mapped
+    block freed so far, so whether the multi-MB arrays of each training step
+    page-fault afresh (the heap top given back and regrown, or each array
+    mapped and unmapped) depends on what the process happened to free
+    first. Not glibc: nothing to do."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -4,7 +4,9 @@ Classification images are class-dependent oriented sinusoid patterns plus
 seeded noise; super-resolution pairs are synthetic textures with an exact
 2x box-filter downsampling. Generation is bitwise-reproducible per seed and
 splits are balanced 70/15/15; each split's inputs and targets are arrays of
-their own, not views into one shuffled copy of the whole set.
+their own, not views into one shuffled copy of the whole set. The SR
+generator renders only the splits its caller asks for, straight into each
+split's own arrays.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ from .nncore import loss_mse
 PSNR_CAP_DB = 99.0
 MIN_SAMPLES = 7  # the fewest samples whose 70/15/15 split leaves no part empty
 MIN_CLASSES = 2
+SPLITS = ("train", "val", "test")
+# The uniform draws of one SR texture wave: fx, fy, three channel phases, amp
+_WAVE_LOW = (0.5, 0.5, 0.0, 0.0, 0.0, 0.1)
+_WAVE_HIGH = (4.0, 4.0, 2 * math.pi, 2 * math.pi, 2 * math.pi, 0.4)
+_WAVES = 4
 
 
 @dataclass(frozen=True)
@@ -50,15 +57,18 @@ class Dataset:
     test: tuple
 
 
+def _split_indices(n, rng):
+    """{split name: the indices of its samples} of n samples shuffled into
+    70/15/15 parts."""
+    n_train = int(n * 0.70)
+    n_val = int(n * 0.15)
+    return dict(zip(SPLITS, np.split(rng.permutation(n), [n_train, n_train + n_val])))
+
+
 def _split_703015(x, y, rng):
     """Shuffle into 70/15/15 parts, each gathered into arrays of its own, so a
     caller that keeps one part does not keep the whole set alive."""
-    n = x.shape[0]
-    order = rng.permutation(n)
-    n_train = int(n * 0.70)
-    n_val = int(n * 0.15)
-    train, val, test = np.split(order, [n_train, n_train + n_val])
-    return Dataset(train=(x[train], y[train]), val=(x[val], y[val]), test=(x[test], y[test]))
+    return Dataset(**{name: (x[i], y[i]) for name, i in _split_indices(len(x), rng).items()})
 
 
 def generate_classification_dataset(spec: DatasetSpec) -> Dataset:
@@ -90,24 +100,31 @@ def box_downsample(hr: np.ndarray, scale: int) -> np.ndarray:
     return hr.reshape(*lead, c, h // scale, scale, w // scale, scale).mean(axis=(-3, -1))
 
 
-def generate_sr_dataset(spec: DatasetSpec) -> Dataset:
-    """LR/HR texture pairs; LR is exactly box_downsample(HR, sr_scale)."""
+def generate_sr_dataset(spec: DatasetSpec, splits=SPLITS) -> Dataset:
+    """LR/HR texture pairs; LR is exactly box_downsample(HR, sr_scale).
+
+    Only the named splits are rendered; the others are None. Every sample's
+    wave parameters are drawn first, then the split permutation, so a split
+    holds the same bytes whichever splits are rendered with it."""
     rng = np.random.default_rng(spec.seed)
     hr_size = spec.image_size * spec.sr_scale
     yy, xx = np.meshgrid(np.arange(hr_size), np.arange(hr_size), indexing="ij")
-    hr = np.empty((spec.num_samples, 3, hr_size, hr_size))
-    lr = np.empty((spec.num_samples, 3, spec.image_size, spec.image_size))
-    for img, small in zip(hr, lr):
-        img[...] = 0.0
-        for _ in range(4):
-            fx, fy = rng.uniform(0.5, 4.0, size=2)
-            phase = rng.uniform(0, 2 * math.pi, size=3)
-            amp = rng.uniform(0.1, 0.4)
-            wave = 2 * math.pi * (fx * xx + fy * yy) / hr_size
-            img += amp * np.sin(wave[None, :, :] + phase[:, None, None])
-        img[...] = (img - img.min()) / max(img.max() - img.min(), 1e-9)
-        small[...] = box_downsample(img, spec.sr_scale)
-    return _split_703015(lr, hr, rng)
+    waves = rng.uniform(_WAVE_LOW, _WAVE_HIGH, size=(spec.num_samples, _WAVES, len(_WAVE_LOW)))
+    parts = dict.fromkeys(SPLITS)
+    for name, index in _split_indices(spec.num_samples, rng).items():
+        if name not in splits:
+            continue
+        hr = np.empty((len(index), 3, hr_size, hr_size))
+        lr = np.empty((len(index), 3, spec.image_size, spec.image_size))
+        for img, small, sample in zip(hr, lr, waves[index]):
+            img[...] = 0.0
+            for fx, fy, *phase, amp in sample:
+                wave = 2 * math.pi * (fx * xx + fy * yy) / hr_size
+                img += amp * np.sin(wave[None, :, :] + np.array(phase)[:, None, None])
+            img[...] = (img - img.min()) / max(img.max() - img.min(), 1e-9)
+            small[...] = box_downsample(img, spec.sr_scale)
+        parts[name] = (lr, hr)
+    return Dataset(**parts)
 
 
 class PsnrResult(NamedTuple):

@@ -24,12 +24,19 @@ adds into such a flat run, one contiguous 1-D add per offset: numpy runs an
 elementwise op several times slower on a 2-D view whose rows are not back to
 back. For the same reason the DWConv input-gradient products read a
 channel-major contiguous copy of the output gradient, not the gradient the
-next layer hands down, which is usually the crop of a padded buffer.
+next layer hands down, which is usually the crop of a padded buffer. A
+1x1 window needs none of this machinery: at k = 1 the window matrix is
+channel-major x and the G = 1 weight-gradient operand is x in (b, h, w, c)
+order, each one copy of x, and at stride 1 the window scatter is one add of
++0.0 to the input-gradient product.
 
 A resampler (nearest or bilinear) that changes the width is a projection,
 then a resample: the conv pair at k = 1, reading its [O,C] weight as
 [O,C,1,1], on the input maps, then the parameter-free resample of the
 projection's output; its backward runs the two adjoints in reverse.
+Nearest's adjoint sums each r x r block in a fixed order of plain adds on
+strided views, at r = 2 ((0.0 + d00) + d01) + (d10 + d11), the order numpy's
+reshape-and-sum takes on maps more than one pixel wide.
 
 The large-map kernels bound their transient buffers by one budget,
 TILE_BYTES (6 MiB). A G = 1 conv builds its window matrix, and runs its
@@ -211,7 +218,10 @@ def _window_matrix(x, k, stride):
     (c, i, j, b, h, w) order, the matrix einsum copies out of the window view.
     The stride-s window of output (y, x) is the stride-1 window of (s*y, s*x),
     so for s > 1 the stride-1 matrix's columns [..., ::s, ::s] are copied out.
+    A 1x1 window has no padding: its matrix is channel-major x, one copy.
     """
+    if k == 1:
+        return x.transpose(1, 0, 2, 3)[:, None, None, :, ::stride, ::stride].copy()
     b, c, h, w = x.shape
     run, maps = _flat_run((c, b, h, w), k)
     run[maps].reshape(c, b, h, w)[...] = x.transpose(1, 0, 2, 3)
@@ -234,9 +244,21 @@ def _window_operand(x, k, stride, groups):
     G = C. Where that reshape of the window view is a view, einsum hands BLAS
     the strided view, and so does this. Otherwise einsum copies the view k
     elements at a time; here one np.take gathers the same C-contiguous array
-    through a flat offset index built for the call.
+    through a flat offset index built for the call. For G = 1 at k = 1 that
+    array is x moved to (b, h, w, c) order, one copy.
     """
     b, c, h, w = x.shape
+    if k == 1 and groups == 1:
+        # the view einsum would hand BLAS is one of the C-contiguous x, so x
+        # is copied into xc only once the view is known to exist
+        xc, shape = np.empty(x.shape), (1, -1, c)
+        try:
+            view = xc[:, :, ::stride, ::stride].transpose(0, 2, 3, 1).reshape(shape, copy=False)
+        except ValueError:
+            return np.ascontiguousarray(
+                x[:, :, ::stride, ::stride].transpose(0, 2, 3, 1)).reshape(shape)
+        xc[...] = x
+        return view
     m, p = c // groups, (k - 1) // 2
     hp, wp = h + 2 * p, w + 2 * p
     xp = np.zeros((groups, b, m, hp, wp))
@@ -280,8 +302,11 @@ def _scatter_windows(window_grad, out, k, stride):
     first spread over one zeroed [...,H,W] slab, since output (y, x) at
     stride s is stride-1 output (s*y, s*x). Every add the reference does not
     make adds +0.0, and the sums start at +0.0 and so never hold -0.0: each
-    such add leaves the sum bitwise unchanged.
+    such add leaves the sum bitwise unchanged. A 1x1 window at stride 1 is
+    that one add, +0.0 + window_grad(0, 0), written straight into out.
     """
+    if k == 1 and stride == 1:
+        return np.add(window_grad(0, 0), 0.0, out=out)
     shape, w = out.shape, out.shape[-1]
     acc, maps = _flat_run(shape, k)
     n = math.prod(shape)
@@ -563,14 +588,30 @@ def _resampler(maps):
     return forward, backward
 
 
+def _block_sum(d, r):
+    """The sum of each r x r block of the [B,C,rH,rW] maps d, as plain adds of
+    the strided views dij of block entry (i, j): each row of the block
+    summed in j order, the first from +0.0, then the rows in i order. At
+    r = 2 that is ((0.0 + d00) + d01) + (d10 + d11), numpy's own order for
+    sum(axis=(3, 5)) on maps more than one pixel wide."""
+    b, c, hh, ww = d.shape
+    blocks = d.reshape(b, c, hh // r, r, ww // r, r)
+    tap = lambda i, j: blocks[:, :, :, i, :, j]
+    total = tap(0, 0) + 0.0
+    for j in range(1, r):
+        total += tap(0, j)
+    for i in range(1, r):
+        row = tap(i, 0) + tap(i, 1)
+        for j in range(2, r):
+            row += tap(i, j)
+        total += row
+    return total
+
+
 def _nearest_maps(m, x_shape):
     """Nearest resampling: each value repeated over its r x r block."""
     r = m.spec.scale_factor
-
-    def unsample(d):
-        b, c, hh, ww = d.shape
-        return d.reshape(b, c, hh // r, r, ww // r, r).sum(axis=(3, 5))
-    return functools.partial(_repeat, r=r), unsample
+    return functools.partial(_repeat, r=r), functools.partial(_block_sum, r=r)
 
 
 def _bilinear_maps(m, x_shape):

@@ -151,3 +151,18 @@ def test_each_split_owns_its_memory(generate, spec):
     for name in ("train", "val", "test"):
         for a in getattr(ds, name):
             assert a.base is None, name
+
+
+@pytest.mark.parametrize("names", [("train", "val"), ("train",), ("test",)])
+def test_sr_renders_only_the_named_splits(names):
+    """A split rendered alone, or with some of the others, holds the bytes it
+    holds in the whole set, in arrays of its own; the splits not named are
+    None."""
+    whole, part = generate_sr_dataset(_sr_spec()), generate_sr_dataset(_sr_spec(), names)
+    for name in ("train", "val", "test"):
+        if name not in names:
+            assert getattr(part, name) is None
+            continue
+        for got, ref in zip(getattr(part, name), getattr(whole, name)):
+            assert got.base is None
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
