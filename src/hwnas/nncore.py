@@ -44,20 +44,21 @@ forward product, its input-gradient product and the window scatter, over
 tiles of whole samples: the fewest near-equal tiles whose per-sample buffers
 fit the budget. Its weight gradient stays one contraction over B*Ho*Wo,
 since a contraction split into partial sums sums in another order; it
-gathers the window operand in blocks of input channels instead, and fills
-dw's columns one block at a time. A batch whose buffers fit is one tile
-and one block and makes the calls it made before tiling: every
-toy-classification shape does. A DWConv is never split. A split keeps the
-bits of the whole product only where OpenBLAS computes each piece with the
-whole product's kernel, so each piece gets 2^20 multiply-adds, and a piece
-of a product's columns spans a multiple of 8 of them or very few (see the
-tile helpers); and tiles are joined in the memory layout of the whole
-batch's result.
+gathers the window operand in blocks of input channels instead, the fewest
+near-equal blocks that fit the budget, and fills dw's columns one block at a
+time. The tiles and blocks are part of what the conv computes, as the
+projection is part of a resampler: each is a product of its own, and the
+budget alone sets the split, so the reference makes the same products and
+agrees with the kernels on any BLAS kernel set. Tiles are joined in the
+memory layout of the whole batch's result. A batch whose buffers fit is one
+tile and one block: every toy-classification shape is. A DWConv is never
+split.
 
 Every value a kernel computes, and the memory layout of its output and input
 gradient, is bitwise equal to the plain einsum formulation (sliding windows,
-one einsum per product, window gradients scattered in i-then-j order), so
-seeded runs stay reproducible; tests/test_kernels.py holds that reference.
+one einsum per product of each tile or block, window gradients scattered in
+i-then-j order), so seeded runs stay reproducible; tests/test_kernels.py
+holds that reference.
 The known exceptions are all conv backward passes whose output maps are one
 pixel wide or one pixel high, which no built-in space reaches:
 - the weight gradient on maps one pixel wide at batch 1, where einsum drops
@@ -87,10 +88,6 @@ CHECKPOINT_VERSION = 1
 # buffers of one sample tile, or of one weight-gradient channel block, may
 # hold (see the tile helpers).
 TILE_BYTES = 6 << 20
-# The fewest multiply-adds a piece of a split product is given. OpenBLAS
-# computes a product of fewer than about 10^6 with a small-matrix kernel,
-# which sums a long contraction in another order than the whole product's.
-_SPLIT_MACS = 1 << 20
 
 
 class Parameter:
@@ -115,13 +112,11 @@ def _kaiming_uniform(shape, fan_in, rng):
 # Tiles: bounded transient buffers
 # ---------------------------------------------------------------------------
 
-def _runs(n, per, least=1, step=1):
-    """The n samples (or channels) of a product as near-equal runs of at most
-    `per`, of at least `least` where n allows, and each but the last a
-    multiple of `step`; one run if n <= per."""
-    units = -(-n // step)
-    count = max(1, min(-(-n // per), n // least, units))
-    bounds = [min(n, step * (units * i // count)) for i in range(count + 1)]
+def _runs(n, per):
+    """The n samples (or channels) of a product as the fewest near-equal runs
+    of at most `per`; one run if n <= per."""
+    count = max(1, -(-n // per))
+    bounds = [n * i // count for i in range(count + 1)]
     return [slice(a, z) for a, z in zip(bounds, bounds[1:])]
 
 
@@ -345,36 +340,19 @@ def _bilinear_matrix(out_size, in_size, scale):
 # Primitive forward/backward pairs
 # ---------------------------------------------------------------------------
 
-def _sample_tiles(x_shape, w_shape, stride):
-    """The sample tiles of a G = 1 convolution: a tile's stride-1 window
-    matrix and flat run, (k*k + 1)*C*H*W doubles a sample, fit in TILE_BYTES,
-    and its products, O*C*k*k*Ho*Wo multiply-adds a sample, get _SPLIT_MACS.
-
-    A tile splits the columns of its products. OpenBLAS computes the last
-    N mod 8 columns of a product with narrower kernels, which sum in another
-    order, so each tile but the last spans a multiple of 8 columns.
-    """
-    (n, c, h, w), (o, _, k, _) = x_shape, w_shape
-    pixels = len(range(0, h, stride)) * len(range(0, w, stride))
-    return _runs(n, max(1, TILE_BYTES // ((k * k + 1) * c * h * w * 8)),
-                 -(-_SPLIT_MACS // (o * c * k * k * pixels)), 8 // math.gcd(pixels, 8))
+def _sample_tiles(x_shape, k):
+    """The sample tiles of a G = 1 convolution with a k x k window: the fewest
+    near-equal runs of samples whose stride-1 window matrix and flat run,
+    (k*k + 1)*C*H*W doubles a sample, fit in TILE_BYTES."""
+    n, c, h, w = x_shape
+    return _runs(n, max(1, TILE_BYTES // ((k * k + 1) * c * h * w * 8)))
 
 
-def _channel_blocks(c, o, pixels, k):
-    """The input-channel blocks of a G = 1 conv weight gradient, an
-    [O, pixels] @ [pixels, C*k*k] product: a block's window operand,
-    pixels*k*k doubles a channel, fits in TILE_BYTES, and its product gets
-    _SPLIT_MACS. A block splits the columns of the product, so it holds a
-    multiple of 8 channels (see _sample_tiles) or, where 8 do not fit, one
-    channel or the fewest that get _SPLIT_MACS: so few columns are one
-    block of OpenBLAS's kernel, which sums them as the whole product does.
-    An O = 1 conv keeps its whole window operand: its product is a
-    vector-matrix one, which a column split does not keep bitwise."""
-    per = TILE_BYTES // (pixels * k * k * 8)
-    least = -(-_SPLIT_MACS // (o * pixels * k * k))
-    if per >= c or o == 1:
-        return [slice(0, c)]
-    return _runs(c, per // 8 * 8, least, 8) if per >= 8 else _runs(c, 1, least)
+def _channel_blocks(c, pixels, k):
+    """The input-channel blocks of a G = 1 conv weight gradient: the fewest
+    near-equal runs of channels whose window operand, pixels*k*k doubles a
+    channel, fits in TILE_BYTES."""
+    return _runs(c, max(1, TILE_BYTES // (pixels * k * k * 8)))
 
 
 def _conv_forward(x, w, b, stride):
@@ -402,7 +380,7 @@ def _conv_forward(x, w, b, stride):
         return out.reshape((o,) + cols.shape[3:]).transpose(1, 0, 2, 3)
     # G = C (a DWConv) stays one product, since its matrix-vector products
     # round by column position
-    tiles = _sample_tiles(x.shape, w.shape, stride) if groups == 1 else [slice(0, n)]
+    tiles = _sample_tiles(x.shape, k) if groups == 1 else [slice(0, n)]
     return _joined(tile, tiles, (1, 0, 2, 3)) + b[None, :, None, None]
 
 def _conv_backward(g, w, x, stride, input_grad, param_grads):
@@ -419,10 +397,11 @@ def _conv_backward(g, w, x, stride, input_grad, param_grads):
     if param_grads:
         # the batched matmul einsum makes: per group, g [O/G, B*Ho*Wo] @
         # windows [B*Ho*Wo, C/G*k*k], one contraction over B*Ho*Wo, since a
-        # split one would sum in another order. For G = 1 and k > 1 the
-        # window operand is gathered, and dw's columns filled, one block of
-        # input channels at a time. Each operand is freed before dx.
-        blocks = (_channel_blocks(c, o, go.shape[1], k) if groups == 1 and k > 1
+        # split one would sum in another order. For G = 1 and k > 1 that is
+        # one product per block of input channels, which gathers the block's
+        # window operand and fills its columns of dw. Each operand is freed
+        # before dx.
+        blocks = (_channel_blocks(c, go.shape[1], k) if groups == 1 and k > 1
                   else [slice(0, c)])
         dw = np.concatenate([go.reshape(groups, o // groups, -1)
                              @ _window_operand(x[:, s], k, stride, groups)
@@ -453,7 +432,7 @@ def _conv_backward(g, w, x, stride, input_grad, param_grads):
                         (c, k, k) + grad_shape[1:]).transpose(1, 2, 0, 3, 4, 5)
                 _scatter_windows(lambda i, j: t[i, j], dx[s].transpose(1, 0, 2, 3),
                                  k, stride)
-            for s in _sample_tiles(x.shape, w.shape, stride):
+            for s in _sample_tiles(x.shape, k):
                 tile(s)
         else:
             # every window offset's depthwise product goes into the same buffer

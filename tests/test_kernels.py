@@ -1,10 +1,12 @@
 """Bit-equivalence of the nncore kernels against the plain einsum reference.
 
 The reference functions below are the straightforward einsum formulation of
-each kernel: sliding windows, one einsum per product, and a k*k scatter of
-the window gradient in i-then-j order. nncore may compute the same values in
-another way, but every output must be bitwise equal to the reference, or
-seeded runs stop being reproducible across versions.
+each kernel: sliding windows, one einsum per product of each sample tile or
+channel block (a dense conv's pieces, sized by TILE_BYTES alone, are part of
+its definition; see ref_conv), and a k*k scatter of the window gradient in
+i-then-j order. nncore may compute the same values in another way, but every
+output must be bitwise equal to the reference, or seeded runs stop being
+reproducible across versions and BLAS kernel sets.
 """
 
 import tracemalloc
@@ -40,14 +42,48 @@ def ref_scatter_windows(t, padded_shape, k, stride, pad):
     return dxp
 
 
+def ref_runs(n, unit_bytes):
+    """n samples (or channels) of unit_bytes each as the fewest near-equal
+    runs that fit in TILE_BYTES, or runs of one where one does not fit."""
+    count = -(-n // max(1, TILE_BYTES // unit_bytes))
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def ref_sample_tiles(x_shape, k):
+    """A dense conv's sample tiles: a sample's stride-1 window matrix and
+    flat run hold (k*k + 1)*C*H*W doubles."""
+    n, c, h, w = x_shape
+    return ref_runs(n, (k * k + 1) * c * h * w * 8)
+
+
+def ref_channel_blocks(c, pixels, k):
+    """A dense conv's weight-gradient blocks of input channels: a channel's
+    window operand holds pixels*k*k doubles, for pixels = B*Ho*Wo. A 1x1
+    conv's weight gradient is one block."""
+    return ref_runs(c, pixels * k * k * 8) if k > 1 else [slice(0, c)]
+
+
 def ref_conv(x, w, b, g, stride, pad):
-    """(out, dx, dw, db) of a dense convolution."""
+    """(out, dx, dw, db) of a dense convolution, whose pieces are part of its
+    definition: the forward and the input-gradient product are one einsum
+    per sample tile, and the weight gradient one per block of input
+    channels."""
     k = w.shape[-1]
     win, padded = ref_windows(x, k, stride, pad)
-    out = np.einsum("bchwij,ocij->bohw", win, w, optimize=True) + b[None, :, None, None]
-    dw = np.einsum("bchwij,bohw->ocij", win, g, optimize=True)
+    tiles = ref_sample_tiles(x.shape, k)
+    # the whole einsum's memory layout, holding each tile's values
+    out = np.einsum("bchwij,ocij->bohw", win, w, optimize=True)
+    if len(tiles) > 1:
+        for s in tiles:
+            out[s] = np.einsum("bchwij,ocij->bohw", win[s], w, optimize=True)
+    # out of place: an in-place add changes the strides of size-1 axes
+    out = out + b[None, :, None, None]
+    blocks = ref_channel_blocks(x.shape[1], g[:, 0].size, k)
+    dw = np.concatenate([np.einsum("bchwij,bohw->ocij", win[:, s], g, optimize=True)
+                         for s in blocks], axis=1)
     db = g.sum(axis=(0, 2, 3))
-    t = np.einsum("bohw,ocij->bchwij", g, w, optimize=True)
+    t = np.concatenate([np.einsum("bohw,ocij->bchwij", g[s], w, optimize=True)
+                        for s in tiles])
     return out, ref_scatter_windows(t, padded, k, stride, pad), dw, db
 
 
@@ -166,6 +202,21 @@ def _space_layers():
     return [(space, op, shape) for (op, shape), space in seen.items()]
 
 
+# Convs split into several pieces by the reference's rule (see ref_conv):
+# several sample tiles, of two output channels and of 33x33 output maps, and
+# several channel blocks of a k7 weight gradient; split vector-matrix weight
+# gradients, of one output channel; and toy-sr's head at batch 5, tiles of
+# 3 + 2 samples, and its k5 candidate at batch 9, the test split eval runs.
+SPLIT_CASES = [
+    (OperatorSpec(OpKind.Conv, 16, 2, kernel=5), TensorShape(16, 32, 32), 8),
+    (OperatorSpec(OpKind.Conv, 16, 16, kernel=5), TensorShape(16, 33, 33), 8),
+    (OperatorSpec(OpKind.Conv, 16, 16, kernel=7), TensorShape(16, 32, 32), 2),
+    (OperatorSpec(OpKind.Conv, 4, 1, kernel=3), TensorShape(4, 64, 64), 32),
+    (OperatorSpec(OpKind.Conv, 3, 1, kernel=3), TensorShape(3, 64, 64), 32),
+    (OperatorSpec(OpKind.Conv, 4, 3, kernel=3), TensorShape(4, 64, 64), 5),
+    (OperatorSpec(OpKind.Conv, 16, 16, kernel=5), TensorShape(16, 32, 32), 9),
+]
+
 # The calibration space runs 128-512 channels at 32x32; at batch 32 one
 # k5 window matrix alone would be 0.8 GB, so it is checked at batch 2 only.
 CASES = [(op, shape, batch) for space, op, shape in _space_layers()
@@ -183,16 +234,7 @@ CASES += [
     # stride 3, and a non-square output map
     (OperatorSpec(OpKind.Conv, 4, 6, kernel=3, stride=3), TensorShape(4, 10, 7), 2),
     (OperatorSpec(OpKind.DWConv, 6, 6, kernel=3, stride=3), TensorShape(6, 9, 9), 2),
-    # split products (see nncore's tile helpers): sample tiles whose products
-    # fall under the small-matrix size, sample tiles of 33x33 output maps
-    # (1089 columns a sample), and channel blocks of a k7 weight gradient
-    (OperatorSpec(OpKind.Conv, 16, 2, kernel=5), TensorShape(16, 32, 32), 8),
-    (OperatorSpec(OpKind.Conv, 16, 16, kernel=5), TensorShape(16, 33, 33), 8),
-    (OperatorSpec(OpKind.Conv, 16, 16, kernel=7), TensorShape(16, 32, 32), 2),
-    # one output channel: a vector-matrix weight gradient, kept in one block
-    (OperatorSpec(OpKind.Conv, 4, 1, kernel=3), TensorShape(4, 64, 64), 32),
-    (OperatorSpec(OpKind.Conv, 3, 1, kernel=3), TensorShape(3, 64, 64), 32),
-]
+] + SPLIT_CASES
 # Non-square maps and batch 1: a reshape of a batch-1 or one-row window view
 # can be a view, not a copy, and BLAS then reads strided memory.
 EDGE_CASES = [
@@ -231,6 +273,10 @@ SIGNED_ZERO_CASES = [
     (OperatorSpec(OpKind.Conv, 4, 3, kernel=3), TensorShape(4, 64, 64), 8),
     (OperatorSpec(OpKind.Conv, 16, 16, kernel=5), TensorShape(16, 32, 32), 8),
     (OperatorSpec(OpKind.Conv, 16, 16, kernel=3, stride=2), TensorShape(16, 64, 64), 4),
+    # and those two at the batches whose tiles split them differently from
+    # the batch sizes above (see SPLIT_CASES)
+    (OperatorSpec(OpKind.Conv, 4, 3, kernel=3), TensorShape(4, 64, 64), 5),
+    (OperatorSpec(OpKind.Conv, 16, 16, kernel=5), TensorShape(16, 32, 32), 9),
     # toy-sr's PointwiseConv candidate and its resampler projection, whose
     # k = 1 operands are each one copy of x
     (OperatorSpec(OpKind.PointwiseConv, 16, 16), TensorShape(16, 32, 32), 8),
@@ -304,6 +350,16 @@ def _check_conv_case(case, signed_zeros=False, channel_major_input=False,
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_conv_kernels_match_reference_bitwise(case):
     _check_conv_case(case)
+
+
+# A later TILE_BYTES must not quietly make the split cases one-piece cases.
+@pytest.mark.parametrize("case", SPLIT_CASES, ids=_case_id)
+def test_split_cases_split(case):
+    op, shape, batch = case
+    out = output_shape(op, shape)
+    tiles = ref_sample_tiles((batch,) + tuple(shape.as_list()), op.kernel)
+    blocks = ref_channel_blocks(shape.channels, batch * out.height * out.width, op.kernel)
+    assert len(tiles) >= 2 or len(blocks) >= 2
 
 
 @pytest.mark.parametrize("case", SIGNED_ZERO_CASES, ids=_case_id)
@@ -463,10 +519,12 @@ def test_kernel_working_set_is_bounded(op, shape):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # peaks of 5.8, 3.2, 7.2, 2.7 and 2.4 MB for the five cases, against
-    # bounds of 9.7, 9.4, 9.0, 9.4 and 9.4 MB at a TILE_BYTES of 6 MiB: a
-    # resampler projects at input resolution and builds no resampled copy of
-    # its input, and a k = 1 conv's operands are each one copy of x
+    # peaks of 6.9, 3.2, 7.2, 2.7 and 2.4 MB for the five cases, against
+    # bounds of 9.7, 9.4, 9.0, 9.4 and 9.4 MB at a TILE_BYTES of 6 MiB: the
+    # k5 weight gradient gathers its window operand in blocks of 2 or 3
+    # channels, a resampler projects at input resolution and builds no
+    # resampled copy of its input, and a k = 1 conv's operands are each one
+    # copy of x
     assert peak <= _kept_arrays_bytes(op, shape, batch) + TILE_BYTES
 
 
