@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -100,11 +100,6 @@ class OperatorSpec:
         only kernel a kind without a window accepts."""
         return (self.kernel - 1) // 2
 
-    @property
-    def hidden_channels(self) -> int:
-        """MBConv expanded width; in_channels otherwise."""
-        return int(self.expand_ratio * self.in_channels)
-
 
 # ---------------------------------------------------------------------------
 # The kind table: every per-kind fact, declared once
@@ -147,18 +142,23 @@ def _dense_params(op):
     return {"weight": (op.out_channels, op.in_channels), "bias": (op.out_channels,)}
 
 
-def _projection_params(op):
-    """The learned pointwise projection, then resampling, when it changes the
-    width: nncore projects at input resolution. The MAC rule still prices
-    the projection at output resolution, as the simulated device runs it."""
-    return _dense_params(op) if op.out_channels != op.in_channels else {}
-
-
 def _mbconv_children(op):
-    h = op.hidden_channels
+    """Expand to the hidden width, ReLU, depthwise, ReLU, project."""
+    h = int(op.expand_ratio * op.in_channels)
     return {"expand": OperatorSpec(OpKind.PointwiseConv, op.in_channels, h),
+            "act1": OperatorSpec(OpKind.ReLU, h, h),
             "dw": OperatorSpec(OpKind.DWConv, h, h, kernel=op.kernel, stride=op.stride),
+            "act2": OperatorSpec(OpKind.ReLU, h, h),
             "project": OperatorSpec(OpKind.PointwiseConv, h, op.out_channels)}
+
+
+def _resampler_children(op):
+    """A resampler that changes the width projects first, then resamples at
+    the new width; one that keeps it is a kernel of its own."""
+    if op.in_channels == op.out_channels:
+        return {}
+    return {"project": OperatorSpec(OpKind.PointwiseConv, op.in_channels, op.out_channels),
+            "resample": replace(op, in_channels=op.out_channels)}
 
 
 def _children_params(op):
@@ -167,18 +167,20 @@ def _children_params(op):
 
 
 def _weight_macs(op, in_shape, out):
-    """Each weight's size times the output pixels."""
+    """Each weight's size, a child's included, times the output pixels."""
     return out.height * out.width * sum(
         math.prod(shape) for name, shape in KINDS[op.kind].params(op).items()
-        if name == "weight")
+        if name.rpartition(".")[2] == "weight")
 
 
 def _children_macs(op, shape, out):
+    """The MACs of the children that have weights, not of the activations."""
     total = 0
     for child in KINDS[op.kind].children(op).values():
         rule = KINDS[child.kind]
         child_out = rule.shape(child, shape)
-        total += rule.macs(child, shape, child_out)
+        if rule.params(child):
+            total += rule.macs(child, shape, child_out)
         shape = child_out
     return total
 
@@ -201,22 +203,26 @@ class Kind:
 
     `fields` are the OPTIONAL_FIELDS the kind accepts (the others must keep
     their defaults) and `check(op)` its own further field rules.
-    `shape(op, in_shape)` is its output-shape rule, `params(op)` its learnable
-    arrays as {name: shape} in creation order, and `children(op)` the named
-    sub-operators a composite kind is built from. `macs(op, in_shape,
-    out_shape)` counts multiply-accumulates (elementwise work one per output
-    element). `dsp_bound(op)`: the accelerator offloads it to its slow DSP.
-    `tiled`: it computes on the device's channel tiles. `conv_family`: lint
-    VPU002 checks its width (Linear is tiled but not in the family). `free`:
-    it compiles away, so it costs 0 ms on every device.
+    `shape(op, in_shape)` is its output-shape rule and `params(op)` its
+    learnable arrays as {name: shape} in creation order. `children(op)` is a
+    composite op's lowering: its named sub-operators in the order they run,
+    activations included. Such an op runs its children, whose parameters are
+    its own under "<child>.<name>", then adds its input if `residual(op)`.
+    `macs(op, in_shape, out_shape)` counts multiply-accumulates (elementwise
+    work one per output element), a composite's by a rule of its own.
+    `dsp_bound(op)`: the accelerator offloads it to its slow DSP. `tiled`: it
+    computes on the device's channel tiles. `conv_family`: lint VPU002 checks
+    its width (Linear is tiled but not in the family). `free`: it compiles
+    away, so it costs 0 ms on every device.
     """
 
     fields: frozenset = frozenset()
     same_channels: bool = False
     check: Callable = lambda op: None
     shape: Callable = _map_shape
-    params: Callable = lambda op: {}
+    params: Callable = _children_params
     children: Callable = lambda op: {}
+    residual: Callable = lambda op: False
     macs: Callable = _weight_macs
     dsp_bound: Callable = lambda op: False
     tiled: bool = False
@@ -236,7 +242,8 @@ KINDS = {
     OpKind.PointwiseConv: Kind(frozenset({"stride"}), params=_conv_params, tiled=True,
                                conv_family=True),
     OpKind.MBConv: Kind(_WINDOW | {"expand_ratio"}, check=_check_mbconv,
-                        params=_children_params, children=_mbconv_children,
+                        children=_mbconv_children,
+                        residual=lambda op: op.in_channels == op.out_channels and op.stride == 1,
                         macs=_children_macs, tiled=True, conv_family=True),
     OpKind.AvgPool: Kind(_WINDOW, same_channels=True,
                          macs=lambda op, i, out: op.kernel ** 2 * out.numel),
@@ -247,11 +254,13 @@ KINDS = {
     OpKind.LeakyReLU: Kind(frozenset({"activation_slope"}), same_channels=True,
                            macs=lambda op, i, out: out.numel,
                            dsp_bound=lambda op: op.activation_slope != 0),
+    # a resampler's projection is priced at output resolution, although it
+    # runs first, at input resolution
     OpKind.UpsampleNearest: Kind(
-        _SCALED, params=_projection_params,
+        _SCALED, children=_resampler_children,
         macs=lambda op, i, out: _weight_macs(op, i, out) + out.numel),
     OpKind.UpsampleBilinear: Kind(
-        _SCALED, params=_projection_params,
+        _SCALED, children=_resampler_children,
         macs=lambda op, i, out: _weight_macs(op, i, out) + 4 * out.numel,
         dsp_bound=lambda op: True),
     OpKind.DepthToSpace: Kind(_SCALED, check=_check_depth_to_space, dsp_bound=lambda op: True),

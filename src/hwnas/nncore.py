@@ -2,8 +2,8 @@
 
 Covers forward/backward for every OperatorSpec kind, cross-entropy and MSE
 losses and a plain SGD step with L2 weight decay. Desk-scale only. `KERNELS`
-holds each kind's (forward, backward) pair; its parameter shapes and children
-come from `graph.KINDS`.
+holds each kind's (forward, backward) pair; its parameter shapes and
+lowering come from `graph.KINDS`.
 
 A backward pass computes only what its caller reads: it can skip the input
 gradient (the first layer of a net) or the parameter gradients (architecture
@@ -30,13 +30,18 @@ channel-major x and the G = 1 weight-gradient operand is x in (b, h, w, c)
 order, each one copy of x, and at stride 1 the window scatter is one add of
 +0.0 to the input-gradient product.
 
-A resampler (nearest or bilinear) that changes the width is a projection,
-then a resample: the conv pair at k = 1, reading its [O,C] weight as
-[O,C,1,1], on the input maps, then the parameter-free resample of the
-projection's output; its backward runs the two adjoints in reverse.
-Nearest's adjoint sums each r x r block in a fixed order of plain adds on
-strided views, at r = 2 ((0.0 + d00) + d01) + (d10 + d11), the order numpy's
-reshape-and-sum takes on maps more than one pixel wide.
+An op with children, `graph.KINDS[kind].children(op)`, is that lowering and
+has no kernels of its own: one generic pair runs its children forward in
+order and back in reverse, each through ModuleInstance as an op of its own
+kind, then adds the residual, if the kind has one. An MBConv is expand,
+ReLU, depthwise, ReLU, project, plus its input when it keeps the width at
+stride 1. A resampler (nearest or bilinear) that changes the width is a
+PointwiseConv, then the resampler that keeps the width: a 1x1 projection
+commutes with a per-channel linear resampler, and run first it makes 1/r^2
+of the multiply-adds, on maps r^2 times smaller. Nearest's adjoint sums each
+r x r block in a fixed order of plain adds on strided views, at r = 2
+((0.0 + d00) + d01) + (d10 + d11), the order numpy's reshape-and-sum takes
+on maps more than one pixel wide.
 
 The large-map kernels bound their transient buffers by one budget,
 TILE_BYTES (6 MiB). A G = 1 conv builds its window matrix, and runs its
@@ -46,13 +51,12 @@ fit the budget. Its weight gradient stays one contraction over B*Ho*Wo,
 since a contraction split into partial sums sums in another order; it
 gathers the window operand in blocks of input channels instead, the fewest
 near-equal blocks that fit the budget, and fills dw's columns one block at a
-time. The tiles and blocks are part of what the conv computes, as the
-projection is part of a resampler: each is a product of its own, and the
-budget alone sets the split, so the reference makes the same products and
-agrees with the kernels on any BLAS kernel set. Tiles are joined in the
-memory layout of the whole batch's result. A batch whose buffers fit is one
-tile and one block: every toy-classification shape is. A DWConv is never
-split.
+time. The tiles and blocks are part of what the conv computes: each is a
+product of its own, and the budget alone sets the split, so the reference
+makes the same products and agrees with the kernels on any BLAS kernel set.
+Tiles are joined in the memory layout of the whole batch's result. A batch
+whose buffers fit is one tile and one block: every toy-classification shape
+is. A DWConv is never split.
 
 Every value a kernel computes, and the memory layout of its output and input
 gradient, is bitwise equal to the plain einsum formulation (sliding windows,
@@ -351,8 +355,8 @@ def _sample_tiles(x_shape, k):
 def _channel_blocks(c, pixels, k):
     """The input-channel blocks of a G = 1 conv weight gradient: the fewest
     near-equal runs of channels whose window operand, pixels*k*k doubles a
-    channel, fits in TILE_BYTES."""
-    return _runs(c, max(1, TILE_BYTES // (pixels * k * k * 8)))
+    channel, fits in TILE_BYTES; one block for an empty batch."""
+    return _runs(c, max(1, TILE_BYTES // (max(pixels, 1) * k * k * 8)))
 
 
 def _conv_forward(x, w, b, stride):
@@ -417,7 +421,7 @@ def _conv_backward(g, w, x, stride, input_grad, param_grads):
             # dot product as it was. A matrix-vector product (one output
             # pixel at batch 1) sums a row in an order that depends on its
             # position, so there the rows keep einsum's order.
-            gm = go.reshape(o, n, -1)
+            gm = go.reshape(o, n, g.shape[2] * g.shape[3])
 
             # a function, so that each tile's product is freed before the
             # next one is made
@@ -457,50 +461,38 @@ def _relu_backward(g, mask, slope):
 # for the ModuleInstance m
 # ---------------------------------------------------------------------------
 
-def _weighted(kernel_forward, kernel_backward):
-    """The pair for a kind with one weight and one bias. A DWConv's [C,k,k]
-    weight goes to the kernels as the [C,1,k,k] weight of C groups, and a
-    resampler's [O,C] projection as an [O,C,1,1] one."""
-    def weight(m):
-        w = m.params["weight"].value
-        if w.ndim == 2:
-            return w[:, :, None, None]
-        return w[:, None] if w.ndim == 3 else w
-
-    def forward(m, x):
-        return kernel_forward(x, weight(m), m.params["bias"].value, m.spec.stride), x
-
-    def backward(m, g, x, input_grad, param_grads):
-        dx, dw, db = kernel_backward(g, weight(m), x, m.spec.stride,
-                                     input_grad, param_grads)
-        if param_grads:
-            m.params["weight"].grad += dw.reshape(m.params["weight"].grad.shape)
-            m.params["bias"].grad += db
-        return dx
-    return forward, backward
+def _conv_weight(m):
+    """The layer's weight as the kernels read it: a DWConv's [C,k,k] weight as
+    the [C,1,k,k] weight of C groups."""
+    w = m.params["weight"].value
+    return w[:, None] if w.ndim == 3 else w
 
 
-# Conv, PointwiseConv and DWConv, and a resampler's projection: one
-# convolution of G groups
-_CONV = _weighted(_conv_forward, _conv_backward)
+def _conv_layer(m, x):
+    return _conv_forward(x, _conv_weight(m), m.params["bias"].value, m.spec.stride), x
+
+def _conv_layer_backward(m, g, x, input_grad, param_grads):
+    dx, dw, db = _conv_backward(g, _conv_weight(m), x, m.spec.stride, input_grad, param_grads)
+    if param_grads:
+        m.params["weight"].grad += dw.reshape(m.params["weight"].grad.shape)
+        m.params["bias"].grad += db
+    return dx
 
 
-def _mbconv(m, x):
+def _composite(m, x):
     # the children run through ModuleInstance.forward/backward, so each is
     # checked, and traced, as an op of its own kind
-    s, ch = m.spec, m._children
-    act1, m1 = _relu_forward(ch["expand"].forward(x), 0.0)
-    act2, m2 = _relu_forward(ch["dw"].forward(act1), 0.0)
-    out = ch["project"].forward(act2)
-    residual = s.in_channels == s.out_channels and s.stride == 1
-    return (out + x if residual else out), (m1, m2, residual)
+    out = x
+    for child in m._children.values():
+        out = child.forward(out)
+    residual = KINDS[m.spec.kind].residual(m.spec)
+    return (out + x if residual else out), residual
 
-def _mbconv_backward(m, g, cache, input_grad, param_grads):
-    m1, m2, residual = cache
-    ch = m._children
-    d = _relu_backward(ch["project"].backward(g, param_grads=param_grads), m2, 0.0)
-    d = _relu_backward(ch["dw"].backward(d, param_grads=param_grads), m1, 0.0)
-    d = ch["expand"].backward(d, input_grad, param_grads)
+def _composite_backward(m, g, residual, input_grad, param_grads):
+    d = g
+    for i, child in reversed(list(enumerate(m._children.values()))):
+        # the first child's input gradient is the op's own
+        d = child.backward(d, i > 0 or input_grad, param_grads)
     return d + g if residual and input_grad else d
 
 
@@ -544,26 +536,15 @@ def _repeat(x, r):
 
 
 def _resampler(maps):
-    """The pair for a resampler kind: an optional 1x1 projection, then
-    resampling by r. maps(m, x_shape) gives, for [B,C,H,W] input maps,
-    resample(y), the map of [B,O,H,W] maps y resampled to [B,O,rH,rW], and
-    unsample(d), the gradient of y for the map's gradient d.
-
-    A projecting resampler's projection is the conv kernel pair at k = 1,
-    with the op's own weight and bias, run at input resolution: a 1x1
-    projection commutes with a per-channel linear resampler, and run first
-    it makes 1/r^2 of the multiply-adds, on maps r^2 times smaller. It
-    keeps its input x from forward to backward."""
+    """The pair for a resampler kind that keeps the width: resampling by r.
+    maps(m, x_shape) gives, for [B,C,H,W] maps x, resample(x), x resampled
+    to [B,C,rH,rW], and unsample(d), the gradient of x for the gradient d of
+    resample(x)."""
     def forward(m, x):
-        shape, kept = x.shape, None
-        if "weight" in m.params:
-            x, kept = _CONV[0](m, x)
-        return maps(m, shape)[0](x), (shape, kept)
+        return maps(m, x.shape)[0](x), x.shape
 
-    def backward(m, g, cache, input_grad, param_grads):
-        shape, x = cache
-        d = maps(m, shape)[1](g)
-        return d if x is None else _CONV[1](m, d, x, input_grad, param_grads)
+    def backward(m, g, shape, input_grad, param_grads):
+        return maps(m, shape)[1](g)
     return forward, backward
 
 
@@ -617,7 +598,7 @@ def _depth_to_space_backward(m, g, shape, input_grad, param_grads):
 
 
 def _linear(m, x):
-    flat = x.reshape(x.shape[0], -1)
+    flat = x.reshape(x.shape[0], math.prod(x.shape[1:]))
     out = flat @ m.params["weight"].value.T + m.params["bias"].value
     return out[:, :, None, None], (flat, x.shape)
 
@@ -633,13 +614,16 @@ def _linear_backward(m, g, cache, input_grad, param_grads):
 _ACTIVATION = (lambda m, x: _relu_forward(x, m.spec.activation_slope),
                lambda m, g, mask, *_: _relu_backward(g, mask, m.spec.activation_slope))
 
-# The kernels of each kind. The rest of a kind's facts are in graph.KINDS, which
-# imports no kernels.
+# Conv, PointwiseConv and DWConv: one convolution of G groups
+_CONV = (_conv_layer, _conv_layer_backward)
+
+# The kernels of each kind that has any: an op with children runs those
+# instead (see ModuleInstance). The rest of a kind's facts are in graph.KINDS,
+# which imports no kernels.
 KERNELS = {
     OpKind.Conv: _CONV,
     OpKind.DWConv: _CONV,
     OpKind.PointwiseConv: _CONV,
-    OpKind.MBConv: (_mbconv, _mbconv_backward),
     OpKind.AvgPool: (_avgpool, _avgpool_backward),
     OpKind.MaxPool: (_maxpool, _maxpool_backward),
     OpKind.Identity: (lambda m, x: (x, ()), lambda m, g, *_: g),
@@ -661,26 +645,23 @@ class ModuleInstance:
 
     def __init__(self, spec: OperatorSpec, rng: np.random.Generator):
         self.spec = spec
-        self.params: dict = {}
         self._cache = None
-        self._children: dict = {}
-        self._init_params(rng)
-
-    def _init_params(self, rng):
-        """A composite kind's children in table order, sharing their
-        parameters under "<child>.<name>"; otherwise each table weight drawn
-        Kaiming-uniform over its fan-in shape[1:], each bias zeros."""
-        rule = KINDS[self.spec.kind]
-        for cname, child_spec in rule.children(self.spec).items():
-            child = self._children[cname] = ModuleInstance(child_spec, rng)
-            for pname, p in child.params.items():
-                self.params[f"{cname}.{pname}"] = p
+        # An op with children is its lowering: it runs its children, whose
+        # parameters it shares under "<child>.<name>", and has no kernels or
+        # parameters of its own. Otherwise each table weight is drawn
+        # Kaiming-uniform over its fan-in shape[1:], and each bias is zeros.
+        self._children = {name: ModuleInstance(child, rng)
+                          for name, child in KINDS[spec.kind].children(spec).items()}
         if self._children:
-            return
-        for name, shape in rule.params(self.spec).items():
-            self.params[name] = Parameter(
+            self._kernels = (_composite, _composite_backward)
+            self.params = {f"{cname}.{name}": p for cname, child in self._children.items()
+                           for name, p in child.params.items()}
+        else:
+            self._kernels = KERNELS[spec.kind]
+            self.params = {name: Parameter(
                 np.zeros(shape) if name == "bias"
                 else _kaiming_uniform(shape, math.prod(shape[1:]), rng))
+                for name, shape in KINDS[spec.kind].params(spec).items()}
 
     def zero_grad(self):
         for p in self.params.values():
@@ -692,7 +673,7 @@ class ModuleInstance:
         if x.ndim != 4:
             raise ShapeMismatch(f"expected [B,C,H,W] input, got ndim={x.ndim}")
         expect = output_shape(s, TensorShape(*x.shape[1:]))  # raises on channel mismatch
-        out, self._cache = KERNELS[s.kind][0](self, x)
+        out, self._cache = self._kernels[0](self, x)
         if out.shape[1:] != (expect.channels, expect.height, expect.width):
             raise ShapeMismatch(
                 f"{s.kind.value}: produced {out.shape[1:]}, expected {expect}")
@@ -713,7 +694,7 @@ class ModuleInstance:
         if not (input_grad or param_grads):
             return None
         g = np.asarray(g, dtype=np.float64)
-        return KERNELS[self.spec.kind][1](self, g, cache, input_grad, param_grads)
+        return self._kernels[1](self, g, cache, input_grad, param_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +751,9 @@ def load_checkpoint(named_params: dict, path) -> None:
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ParseError(f"unsupported checkpoint version {doc.get('version')!r}", str(path))
     stored = field(doc, "params", dict, path)
-    if set(stored) != set(named_params):
-        raise ParseError("checkpoint parameter names do not match model", str(path))
+    missing, unexpected = set(named_params) - set(stored), set(stored) - set(named_params)
+    if missing or unexpected:
+        raise ParseError(f"checkpoint parameter names do not match model: missing "
+                         f"{sorted(missing)}, unexpected {sorted(unexpected)}", str(path))
     for name, p in named_params.items():
         p.value[...] = array_from_json(stored[name], p.value.shape, f"{path}: {name}")

@@ -18,6 +18,7 @@ from hwnas.graph import (CompactNet, OperatorSpec, OpKind, Task, TensorShape,
 from hwnas.jsonio import array_to_json
 from hwnas.latency import LatencyTable, load_lut, save_lut
 from hwnas.profiler import ExternalCommandRunner
+from hwnas.search import CompactNetModel
 from hwnas.spaces import toy_classification_supernet, toy_sr_supernet
 
 
@@ -379,6 +380,25 @@ def test_malformed_file_exit_1_without_traceback(case, tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_eval_names_the_keys_of_an_old_resampler_checkpoint(tmp_path):
+    """A projecting resampler's projection is its `project` child: a checkpoint
+    that stores it the old way, as the op's own [O,C] `weight`, does not load,
+    and the error names the keys on both sides."""
+    compact = toy_sr_supernet().path([1, 1, 0])  # layers.3: UpsampleNearest 16 -> 4
+    save_net(compact, tmp_path / "c.net.json")
+    params = {name.replace("layers.3.project.", "layers.3."): p.value
+              for name, p in CompactNetModel(compact).named_parameters().items()}
+    params["layers.3.weight"] = params["layers.3.weight"][:, :, 0, 0]
+    (tmp_path / "w.json").write_text(json.dumps(
+        {"version": 1, "params": {name: array_to_json(v) for name, v in params.items()}}))
+    proc = run_module(*[a.format(tmp=tmp_path) for a in EVAL])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert "missing ['layers.3.project.bias', 'layers.3.project.weight']" in proc.stderr
+    assert "unexpected ['layers.3.bias', 'layers.3.weight']" in proc.stderr
 
 
 @pytest.mark.parametrize("case", sorted(NET_ERRORS))

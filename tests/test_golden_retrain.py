@@ -35,11 +35,11 @@ GOLDEN = {
         "metrics": "05037f506901beaa2e7ef4437527c7e094f04be2a7f55b75092ca51e2cd13eab",
     },
     "sr-k3-leaky-nearest": {
-        "checkpoint": "14ded7ecdaf07161f6eb01146e9ad8ad59f6306e99a6d9538d8b7d69eef2e3ab",
+        "checkpoint": "4ced9495bd231ee604fb31e38a79001a9f5f5e267561a769ade7a4bf343baed9",
         "metrics": "65dbfbccc5c24be235700657758ecc74e8c857b296feef47c114b35180115a87",
     },
     "sr-pw-relu-bilinear": {
-        "checkpoint": "0167dbecd27c3c3a11713be0a31346f6718c273d4b4b615a569c20699e6d01ea",
+        "checkpoint": "f4e187ed254056fb190cc3b72c45b3d03916b9cb0e2d18872f679e996355b70e",
         "metrics": "a003cd7ecaa8535d52cc548081df861b73b5f32bb0b78f023d3cd1702b805248",
     },
 }

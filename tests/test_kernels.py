@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from hwnas.graph import OperatorSpec, OpKind, TensorShape, output_shape, walk
+from hwnas.graph import KINDS, OperatorSpec, OpKind, TensorShape, output_shape, walk
 from hwnas.nncore import TILE_BYTES, ModuleInstance, loss_ce
 from hwnas.search import CompactNetModel
 from hwnas.spaces import BUILTIN_SPACES
@@ -136,9 +136,10 @@ def ref_bilinear_matrix(out_size, in_size, scale):
 
 
 def ref_upsample(kind, x, w, b, g, r):
-    """(out, dx, dw, db) of the 1x1 projection w (ref_conv at k = 1), then
-    a nearest (repeat) or bilinear (dense-matrix einsum) resampler by r; the
-    adjoint runs in reverse. Without a projection (w None) dw and db are None.
+    """(out, dx, dw, db) of the [O,C,1,1] projection w (ref_conv at k = 1),
+    then a nearest (repeat) or bilinear (dense-matrix einsum) resampler by r;
+    the adjoint runs in reverse. Without a projection (w None) dw and db are
+    None.
     Nearest's adjoint sums each 2x2 block of g as
     ((0.0 + g00) + g01) + (g10 + g11), the order numpy's sum(axis=(3, 5))
     takes on maps more than one pixel wide."""
@@ -157,8 +158,8 @@ def ref_upsample(kind, x, w, b, g, r):
         dy = np.einsum("hH,bchw,wW->bcHW", mh, g, mw, optimize=True)
     if w is None:
         return resample(x), dy, None, None
-    y, dx, dw, db = ref_conv(x, w[:, :, None, None], b, dy, 1, 0)
-    return resample(y), dx, dw.reshape(w.shape), db
+    y, dx, dw, db = ref_conv(x, w, b, dy, 1, 0)
+    return resample(y), dx, dw, db
 
 
 def ref_loss_ce(logits, labels):
@@ -179,15 +180,12 @@ CONV_KINDS = (OpKind.Conv, OpKind.PointwiseConv, OpKind.DWConv)
 
 
 def _leaf_layers(op, shape):
-    """(op, input_shape) of op, or of an MBConv's expand/depthwise/project."""
-    if op.kind is not OpKind.MBConv:
-        yield op, shape
-        return
-    h = op.hidden_channels
-    children = (OperatorSpec(OpKind.PointwiseConv, op.in_channels, h),
-                OperatorSpec(OpKind.DWConv, h, h, kernel=op.kernel, stride=op.stride),
-                OperatorSpec(OpKind.PointwiseConv, h, op.out_channels))
-    for child in children:
+    """(op, input_shape) of op, or of each child of a conv-family op's
+    lowering (an MBConv's). A resampler's projection is checked with the
+    resampler, by the upsample cases."""
+    rule = KINDS[op.kind]
+    children = list(rule.children(op).values()) if rule.conv_family else []
+    for child in children or [op]:
         yield child, shape
         shape = output_shape(child, shape)
 
@@ -424,7 +422,7 @@ def _check_upsample_case(kind, c, o, size, batch, g_of=lambda g, rng: g, param_g
     out = inst.forward(x)
     g = g_of(_with_signed_zeros(rng.standard_normal(out.shape), rng), rng)
     dx = inst.backward(g)
-    w, b = inst.params.get("weight"), inst.params.get("bias")
+    w, b = inst.params.get("project.weight"), inst.params.get("project.bias")
     projects = w is not None
     ref_out, ref_dx, ref_dw, ref_db = ref_upsample(
         kind, x, w.value if projects else None, b.value if projects else None, g, 2)
@@ -628,6 +626,21 @@ def test_backward_skips_only_what_it_is_told(kind):
     inst.forward(x)
     assert np.array_equal(inst.backward(g, param_grads=False), dx)
     assert all(not p.grad.any() for p in inst.params.values())
+
+
+# An empty batch, [0,C,H,W], as forward makes an empty output for it:
+# backward gives an empty input gradient and adds nothing to any parameter.
+@pytest.mark.parametrize("kind", sorted(PARAMETRIC) + ["Conv-4x3-k3-8x8"])
+def test_empty_batch_backward_is_empty(kind):
+    op, x_shape = PARAMETRIC.get(kind, (OperatorSpec(OpKind.Conv, 4, 3, kernel=3),
+                                        (2, 4, 8, 8)))
+    inst = ModuleInstance(op, np.random.default_rng(1))
+    x = np.zeros((0,) + x_shape[1:])
+    out = inst.forward(x)
+    assert out.shape[0] == 0
+    assert inst.backward(np.zeros(out.shape)).shape == x.shape
+    assert all(p.grad.shape == p.value.shape and not p.grad.any()
+               for p in inst.params.values())
 
 
 def _path_instances(model, gates):

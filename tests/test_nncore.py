@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hwnas.errors import ShapeMismatch, StaleState
-from hwnas.graph import OperatorSpec, OpKind, TensorShape
+from hwnas.graph import KINDS, OperatorSpec, OpKind, TensorShape
 from hwnas.nncore import (ModuleInstance, load_checkpoint, loss_ce, loss_mse,
                           save_checkpoint, sgd_step)
 from helpers import grad_check, parameter_count
@@ -80,37 +80,61 @@ def _same(got, ref):
     return got.tobytes() == ref.tobytes() and got.strides == ref.strides
 
 
-# A resampler that changes the width is, by definition, a PointwiseConv with
-# its weight and bias, then the resampler that keeps the width: toy-sr's
-# 16 -> 4 stage on 32x32 maps, and a projection from one channel.
-@pytest.mark.parametrize("c,o,size,batch", [(16, 4, 32, 8), (1, 3, 8, 2)])
-@pytest.mark.parametrize("kind", [OpKind.UpsampleNearest, OpKind.UpsampleBilinear],
-                         ids=lambda k: k.value)
-def test_projecting_resampler_is_pointwise_conv_then_resampler(kind, c, o, size, batch):
-    rng = np.random.default_rng(c)
-    inst = _inst(OperatorSpec(kind, c, o, scale_factor=2))
-    conv = _inst(OperatorSpec(OpKind.PointwiseConv, c, o))
-    plain = _inst(OperatorSpec(kind, o, o, scale_factor=2))
-    w, b = inst.params["weight"], inst.params["bias"]
-    w.value += 0.1 * rng.standard_normal(w.value.shape)
-    b.value += 0.1 * rng.standard_normal(b.value.shape)
-    conv.params["weight"].value[...] = w.value[:, :, None, None]
-    conv.params["bias"].value[...] = b.value
-    x = rng.standard_normal((batch, c, size, size))
-    g = rng.standard_normal((batch, o, 2 * size, 2 * size))
-    for param_grads in (True, False):
-        out = inst.forward(x)
-        dx = inst.backward(g, param_grads=param_grads)
-        ref_out = plain.forward(conv.forward(x))
-        ref_dx = conv.backward(plain.backward(g), param_grads=param_grads)
-        assert _same(out, ref_out)
-        assert _same(dx, ref_dx)
-        ref_dw, ref_db = conv.params["weight"].grad, conv.params["bias"].grad
-        assert _same(w.grad, ref_dw.reshape(o, c))
-        assert _same(b.grad, ref_db)
-        assert w.grad.any() == param_grads
-        inst.zero_grad()
-        conv.zero_grad()
+S, K = OperatorSpec, OpKind
+
+# (op, input [B,C,H,W], its lowering written out by hand, whether it adds its
+# input): a resampler that changes the width is a PointwiseConv, then the
+# resampler that keeps the width, on toy-sr's 16 -> 4 stage at 32x32 and
+# from one channel; an MBConv is expand, ReLU, depthwise, ReLU, project, with
+# the residual when it keeps the width at stride 1.
+COMPOSITES = {
+    f"{kind.value}-{c}x{o}": (S(kind, c, o, scale_factor=2), (batch, c, size, size),
+                              [S(K.PointwiseConv, c, o), S(kind, o, o, scale_factor=2)], False)
+    for kind in (K.UpsampleNearest, K.UpsampleBilinear)
+    for c, o, size, batch in ((16, 4, 32, 8), (1, 3, 8, 2))
+} | {
+    f"MBConv-4x{o}": (S(K.MBConv, 4, o, kernel=3, expand_ratio=Fraction(2)), (2, 4, 6, 6),
+                      [S(K.PointwiseConv, 4, 8), S(K.ReLU, 8, 8), S(K.DWConv, 8, 8, kernel=3),
+                       S(K.ReLU, 8, 8), S(K.PointwiseConv, 8, o)], o == 4)
+    for o in (4, 6)
+}
+
+
+@pytest.mark.parametrize("param_grads", [True, False], ids=["param_grads", "input_grad_only"])
+@pytest.mark.parametrize("case", sorted(COMPOSITES))
+def test_composite_is_its_lowering(case, param_grads):
+    op, x_shape, lowering, residual = COMPOSITES[case]
+    assert list(KINDS[op.kind].children(op).values()) == lowering
+    assert KINDS[op.kind].residual(op) == residual
+    rng = np.random.default_rng(x_shape[1])
+    inst = _inst(op)
+    for p in inst.params.values():
+        p.value += 0.1 * rng.standard_normal(p.value.shape)
+    children = [_inst(child) for child in lowering]
+    # the op's parameters are its children's, in the same order
+    pairs = list(zip(inst.params.values(), [p for c in children for p in c.params.values()],
+                     strict=True))
+    for p, ref in pairs:
+        assert p.value.shape == ref.value.shape
+        ref.value[...] = p.value
+    x = rng.standard_normal(x_shape)
+    out = inst.forward(x)
+    g = rng.standard_normal(out.shape)
+    dx = inst.backward(g, param_grads=param_grads)
+
+    ref_out = x
+    for child in children:
+        ref_out = child.forward(ref_out)
+    ref_dx = g
+    for child in reversed(children):
+        ref_dx = child.backward(ref_dx, param_grads=param_grads)
+    if residual:
+        ref_out, ref_dx = ref_out + x, ref_dx + g
+    assert _same(out, ref_out)
+    assert _same(dx, ref_dx)
+    for p, ref in pairs:
+        assert _same(p.grad, ref.grad)
+        assert p.grad.any() == param_grads
 
 
 # ---------------------------------------------------------------------------

@@ -41,11 +41,13 @@ CASES = [
     (S(K.Linear, 16, 3), T(4, 2, 2)),
 ]
 
-# MBConv runs its expand, dw and project children through the same entry points.
-# A projecting resampler calls the conv kernels directly: one span, of its own
-# kind, and no PointwiseConv span.
+# A composite op runs its lowering through the same entry points, so each
+# child is a span of its own kind inside the op's span: MBConv's expand,
+# ReLU, depthwise, ReLU and project, and a projecting resampler's
+# PointwiseConv and resampler of its own kind.
 EXPECTED_CALLS = ({kind: 1 for kind in OpKind}
-                  | {K.PointwiseConv: 3, K.DWConv: 2, K.UpsampleBilinear: 2})
+                  | {K.PointwiseConv: 5, K.DWConv: 2, K.ReLU: 3,
+                     K.UpsampleNearest: 2, K.UpsampleBilinear: 3})
 
 
 @pytest.fixture(scope="module")
